@@ -289,7 +289,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         raise SystemExit(str(error))
     if args.url:
-        stats = replay_http(args.url, scenarios * max(1, args.passes))
+        try:
+            stats = replay_http(args.url, scenarios * max(1, args.passes))
+        except ValueError as error:
+            raise SystemExit(str(error))
     else:
         from .serve.service import PredictionService
 

@@ -51,6 +51,7 @@ import dataclasses
 import hashlib
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .collectives.variants import (
@@ -116,14 +117,21 @@ _SYSTEM_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}
 
 
 def parse_size(text: str) -> int:
-    """Parse a byte size: plain int or K/M/G with optional iB/B suffix."""
+    """Parse a byte size: plain int or K/M/G with optional iB/B suffix.
+
+    The number is read exactly (a float would round integers above 2**53)
+    and a fractional byte count truncates: ``0.3K`` is 307 bytes.
+    """
     match = _SIZE_RE.fullmatch(text)
     if not match:
         raise ValueError("cannot parse size %r (try e.g. 32K, 16MiB, 1G)" % text)
     factor = {None: 1, "K": KiB, "M": MiB, "G": GiB}[
         match.group(2).upper() if match.group(2) else None
     ]
-    return int(float(match.group(1)) * factor)
+    number = match.group(1)
+    # Plain digits (every canonical spelling) skip the slower Fraction.
+    value = int(number) if number.isdigit() else Fraction(number)
+    return int(value * factor)
 
 
 def parse_sizes(text: str) -> Tuple[int, ...]:
@@ -381,7 +389,14 @@ class Scenario:
         return base + ("@" + sep.join(mods) if mods else "")
 
     def __str__(self) -> str:
-        return self.canonical()
+        # Rendered once per instance: a served request names its scenario
+        # in the log record, span attributes, identity probe and payload.
+        # The instance is frozen, so the memo (kept out of the dataclass
+        # fields, hence out of ==, hash and to_dict) cannot go stale.
+        text = self.__dict__.get("_canonical")
+        if text is None:
+            text = self.__dict__["_canonical"] = self.canonical()
+        return text
 
     def label_form(self) -> str:
         """Canonical form safe for comma-delimited metric label sets."""

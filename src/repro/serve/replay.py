@@ -7,21 +7,20 @@ file of queries (one canonical scenario string per record) recorded by
 :func:`record_trace`; :func:`replay` drives it against an in-process
 service (the apples-to-apples mode ``bench_serve`` times, no socket
 noise), and :func:`replay_http` drives it against a live server over
-HTTP (what the CI smoke job does), both returning the same
-:class:`ReplayStats` — total QPS, hit/miss split, and p50/p99 per-query
-latency.
+one keep-alive HTTP connection (what the CI smoke job does), both
+returning the same :class:`ReplayStats` — total QPS, hit/miss split,
+and p50/p99 per-query latency.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-from urllib.parse import quote
+from typing import Dict, List, Optional, Sequence, Tuple
+from urllib.parse import quote, urlsplit
 
 from ..scenario import Scenario
 from .service import PredictionService
@@ -176,6 +175,28 @@ def replay(
     return stats
 
 
+def _get(
+    connection: http.client.HTTPConnection, path: str
+) -> Tuple[int, bytes]:
+    """One GET over the kept-alive ``connection``: ``(status, body)``.
+
+    A server may close an idle keep-alive connection between two
+    queries; the first send then fails with a ``ConnectionError`` (of
+    which ``RemoteDisconnected`` is one).  The query is retried once on
+    a fresh connection, and a second failure propagates.
+    """
+    def once() -> Tuple[int, bytes]:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, response.read()
+
+    try:
+        return once()
+    except ConnectionError:
+        connection.close()
+        return once()
+
+
 def replay_http(
     url: str,
     scenarios: Sequence[Scenario],
@@ -183,35 +204,53 @@ def replay_http(
 ) -> ReplayStats:
     """Drive the trace against a live server's ``/predict`` over HTTP.
 
-    A 200 whose body says ``source: cache`` counts as a hit, a 202/503
-    as a miss, anything else as an error.  ``url`` is the server base
-    (``http://127.0.0.1:8177``).
+    The whole trace runs over one keep-alive connection, so the
+    latencies measure the server rather than TCP set-up.  A 200 whose
+    body says ``source: cache`` counts as a hit, a 202/503 as a miss,
+    anything else (including a query whose one reconnect also failed)
+    as an error.  ``url`` is the server base (``http://127.0.0.1:8177``);
+    anything else raises ``ValueError``.
     """
-    base = url.rstrip("/")
+    base = urlsplit(url)
+    if base.scheme != "http" or not base.hostname:
+        raise ValueError(
+            "replay url must look like http://HOST[:PORT], got %r" % url
+        )
+    prefix = base.path.rstrip("/")
+    connection = http.client.HTTPConnection(
+        base.hostname, base.port, timeout=timeout_s
+    )
     stats = ReplayStats()
     start = time.perf_counter()
-    for scenario in scenarios:
-        query = "%s/predict?scenario=%s" % (base, quote(str(scenario), safe=""))
-        t0 = time.perf_counter()
-        try:
-            with urllib.request.urlopen(query, timeout=timeout_s) as response:
-                payload = json.loads(response.read().decode())
-                status = response.status
-        except urllib.error.HTTPError as error:
-            payload = {}
-            status = error.code
-            error.read()
-        except (OSError, ValueError):
-            stats.errors += 1
+    try:
+        for scenario in scenarios:
+            path = "%s/predict?scenario=%s" % (
+                prefix, quote(str(scenario), safe="")
+            )
+            t0 = time.perf_counter()
+            try:
+                status, body = _get(connection, path)
+                payload = json.loads(body.decode()) if status == 200 else {}
+            except (OSError, ValueError, http.client.HTTPException):
+                # Whatever state the connection was left in, the next
+                # query starts on a fresh one.
+                connection.close()
+                stats.errors += 1
+                stats.latencies_s.append(time.perf_counter() - t0)
+                continue
             stats.latencies_s.append(time.perf_counter() - t0)
-            continue
-        stats.latencies_s.append(time.perf_counter() - t0)
-        if status == 200 and payload.get("source") == "cache":
-            stats.hits += 1
-        elif status in (200, 202, 503):
-            stats.misses += 1
-        else:
-            stats.errors += 1
+            if (
+                status == 200
+                and isinstance(payload, dict)
+                and payload.get("source") == "cache"
+            ):
+                stats.hits += 1
+            elif status in (200, 202, 503):
+                stats.misses += 1
+            else:
+                stats.errors += 1
+    finally:
+        connection.close()
     stats.queries = len(scenarios)
     stats.wall_s = time.perf_counter() - start
     return stats

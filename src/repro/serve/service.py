@@ -26,6 +26,12 @@ Two layers, separable for testing and replay benchmarking:
   candidate is warm, else enqueues the gaps and answers 202 with the
   remaining-miss count.
 
+  Each response leaves the handler in one send: status line, headers and
+  body collect in a buffered ``wfile`` that is flushed once per request,
+  on a socket with ``TCP_NODELAY`` set.  Written as two sends on a Nagle
+  socket, the body would wait for the client's delayed ACK of the
+  headers (~40 ms) on every keep-alive read.
+
 Every request is counted in the registry (``serve.requests`` by
 endpoint and status, ``serve.request_time`` histograms, predict
 hit/miss counters) and appended to the request log, flushed per line so
@@ -390,6 +396,14 @@ class ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve/" + repro_version()
     protocol_version = "HTTP/1.1"
+
+    # One send per response (see the module docstring): the buffered
+    # ``wfile`` collects status line, headers and body, and
+    # ``handle_one_request`` flushes it once after ``do_GET``.  TCP_NODELAY
+    # keeps a body larger than the buffer (a big ``/plan`` or ``/metrics``)
+    # from waiting on an ACK either.
+    wbufsize = 1 << 16
+    disable_nagle_algorithm = True
 
     # BaseHTTPRequestHandler logs to stderr per request; at high QPS that
     # is the bottleneck, and the request log already records everything.

@@ -9,6 +9,7 @@ numbers.
 """
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +97,50 @@ class TestSizes:
     def test_format_parse_round_trip(self, data_bytes):
         assert parse_size(format_size(data_bytes)) == data_bytes
 
+    def test_parse_size_is_exact_above_2_pow_53(self):
+        big = (1 << 53) + 1  # the first integer a float cannot hold
+        assert parse_size(str(big)) == big
+        assert parse_size("%dK" % big) == big * 1024
+        s = Scenario.parse("torus-4x4/ring/%d" % big)
+        assert s.data_bytes == big
+        assert str(s) == "torus-4x4/ring/%d" % big
+        assert Scenario.parse(str(s)) == s
+
+    def test_parse_size_truncates_fractional_bytes(self):
+        assert parse_size("0.3K") == 307
+        assert parse_size("1.5M") == 3 << 19
+        assert parse_size(".5K") == 512
+
+    @given(st.integers(min_value=1, max_value=1 << 80))
+    def test_scenario_round_trip_beyond_float_precision(self, data_bytes):
+        s = Scenario(topology="torus-4x4", algorithm="ring",
+                     data_bytes=data_bytes)
+        assert Scenario.parse(str(s)).data_bytes == data_bytes
+
+    @pytest.mark.parametrize("size, data_bytes, fingerprint", [
+        ("16MiB", 16 << 20, "8d30e5ebb2b57ee5"),
+        ("1MiB", 1 << 20, "604f8db1c9372b3c"),
+        ("2MiB", 2 << 20, "f863b23dfef75089"),
+        ("32KiB", 32 << 10, "6d758d859460833c"),
+        ("32K", 32 << 10, "6d758d859460833c"),
+        ("64KiB", 64 << 10, "df6c3bfc55a07053"),
+        ("16K", 16 << 10, "d56aebdee27df6a6"),
+        ("96K", 96 << 10, "22bfe7b4fb1ff113"),
+        ("256K", 256 << 10, "45ffa109f29c23d6"),
+        ("1G", 1 << 30, "3f9039bdc7cd2c05"),
+        ("12345", 12345, "73ca14cd1ca68274"),
+        ("0.3K", 307, "06e28492b649a71c"),
+        ("1.5M", 3 << 19, "d90215656db0ca9f"),
+    ])
+    def test_size_spellings_keep_their_fingerprints(
+        self, size, data_bytes, fingerprint
+    ):
+        # Pinned when sizes were still parsed through a float: exact
+        # parsing must not move any key a persisted cache already holds.
+        s = Scenario.parse("torus-4x4/multitree/" + size)
+        assert s.data_bytes == data_bytes
+        assert s.fingerprint() == fingerprint
+
     def test_parse_sizes_comma_list(self):
         assert parse_sizes("32K,1M,16M") == (32 << 10, 1 << 20, 16 << 20)
 
@@ -128,6 +173,15 @@ class TestGrammar:
         assert s.data_bytes == 16 << 20
         assert s.flow_control is None
         assert s.lockstep and s.engine == "event" and s.overrides == ()
+
+    def test_rendered_string_is_invisible_to_identity(self):
+        text = "mesh-2x3/ring/1MiB@message,free,lockstep,flit_bytes=32"
+        rendered, fresh = Scenario.parse(text), Scenario.parse(text)
+        assert str(rendered) == rendered.canonical()
+        assert str(rendered) is str(rendered)  # rendered once, then reused
+        assert rendered == fresh and hash(rendered) == hash(fresh)
+        assert rendered.to_dict() == fresh.to_dict()
+        assert pickle.loads(pickle.dumps(rendered)) == fresh
 
     def test_parse_mods(self):
         s = Scenario.parse("mesh-2x3/ring/1MiB@message,free,lockstep,flit_bytes=32")

@@ -1,18 +1,24 @@
 """repro.serve: planner frontiers, prediction service, trace replay."""
 
+import http.client
 import json
+import socket
+import socketserver
+import statistics
 import threading
 import time
 import urllib.error
 import urllib.request
-from urllib.parse import quote
+from urllib.parse import quote, urlencode, urlsplit
 
 import pytest
 
+from repro.cli import main
 from repro.scenario import Scenario, parse_sizes
 from repro.serve import (
     PredictionService,
     RequestLog,
+    ServiceHandler,
     WorkloadSpec,
     load_trace,
     make_server,
@@ -388,6 +394,104 @@ class TestHTTPEndpoints:
         assert predicts[-1]["scenario"] == self.WARM
 
 
+def keep_alive(base):
+    """One ``http.client`` connection to the live server at ``base``."""
+    parts = urlsplit(base)
+    return http.client.HTTPConnection(parts.hostname, parts.port, timeout=30)
+
+
+class TestTransport:
+    """Responses leave in one send on a TCP_NODELAY socket.
+
+    Written as two sends on a Nagle socket, a response's body waits for
+    the client's delayed ACK of the headers: every request sent promptly
+    after the previous response on a keep-alive connection then takes
+    ~40 ms, against well under 1 ms for the handler itself.
+    """
+
+    WARM = TestHTTPEndpoints.WARM
+
+    def test_back_to_back_keep_alive_reads_do_not_stall(self, live_server):
+        base, service = live_server
+        service.predict(Scenario.parse(self.WARM), block=True)
+        path = "/predict?scenario=" + quote(self.WARM, safe="")
+        connection = keep_alive(base)
+        round_trips = []
+        try:
+            for _ in range(30):
+                t0 = time.perf_counter()
+                connection.request("GET", path)
+                response = connection.getresponse()
+                payload = json.loads(response.read())
+                round_trips.append(time.perf_counter() - t0)
+                assert response.status == 200
+                assert payload["source"] == "cache"
+        finally:
+            connection.close()
+        assert statistics.median(round_trips) < 0.020, round_trips
+
+    def test_accepted_socket_sets_tcp_nodelay(self, live_server, monkeypatch):
+        base, _service = live_server
+        seen = []
+        setup = ServiceHandler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            ))
+
+        monkeypatch.setattr(ServiceHandler, "setup", recording_setup)
+        assert http_get(base + "/healthz")[0] == 200
+        assert seen and all(seen), seen
+
+    def test_stdlib_error_replies_still_leave_the_buffer(self, live_server):
+        # The stdlib answers an unsupported method itself (send_error) and
+        # returns without the per-request flush; its ``Connection: close``
+        # makes the handler's teardown flush the buffered reply instead.
+        base, _service = live_server
+        parts = urlsplit(base)
+        with socket.create_connection(
+            (parts.hostname, parts.port), timeout=10
+        ) as raw:
+            raw.sendall(b"DELETE / HTTP/1.1\r\nHost: x\r\n\r\n")
+            reply = b""
+            while True:
+                chunk = raw.recv(65536)
+                if not chunk:
+                    break
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 501 ")
+        assert b"Connection: close" in reply
+
+    def test_plan_body_larger_than_the_write_buffer_arrives_whole(
+        self, live_server
+    ):
+        base, service = live_server
+        sizes = ",".join(str(KiB * i) for i in range(1, 301))
+        query = {"topology": "torus-2x2", "sizes": sizes, "algorithms": "ring"}
+        spec = WorkloadSpec.from_query(query)
+        plan(spec, cache=service.cache, artifacts=service.artifacts)  # warm
+        connection = keep_alive(base)
+        try:
+            connection.request("GET", "/plan?" + urlencode(query))
+            response = connection.getresponse()
+            body = response.read()
+            # The connection stays usable after the large response.
+            connection.request("GET", "/healthz")
+            follow_up = connection.getresponse()
+            assert follow_up.status == 200
+            follow_up.read()
+        finally:
+            connection.close()
+        assert response.status == 200
+        assert len(body) > ServiceHandler.wbufsize
+        assert int(response.headers["Content-Length"]) == len(body)
+        payload = json.loads(body)
+        assert len(payload["buckets"]) == 300
+        assert payload["stats"]["simulated"] == 0
+
+
 class TestReplay:
     def test_record_load_round_trip(self, tmp_path):
         scenarios = workload_trace(TOPOLOGY, SIZES, ALGOS)
@@ -432,3 +536,86 @@ class TestReplay:
         stats = replay_http(base, scenarios * 3)
         assert stats.queries == 3
         assert stats.hits == 3 and stats.errors == 0
+
+    def test_http_replay_runs_over_one_connection(
+        self, live_server, monkeypatch
+    ):
+        base, service = live_server
+        scenarios = workload_trace(TOPOLOGY, (32 * KiB,), ("ring",))
+        replay(service, scenarios, block=True)  # prewarm
+        connections = []
+        setup = ServiceHandler.setup
+
+        def counting_setup(handler):
+            connections.append(handler.client_address)
+            setup(handler)
+
+        monkeypatch.setattr(ServiceHandler, "setup", counting_setup)
+        stats = replay_http(base, scenarios * 20)
+        assert stats.hits == 20 and stats.errors == 0
+        assert len(connections) == 1
+
+    def test_http_replay_reconnects_once_after_a_dropped_connection(self):
+        # Answers one request per connection, then closes it without
+        # saying so — as a server reaping idle keep-alive connections
+        # does.  Every query after the first finds its connection dead
+        # and must succeed on the one reconnect.
+        body = b'{"source": "cache"}'
+
+        class OneShot(socketserver.StreamRequestHandler):
+            def handle(self):
+                while self.rfile.readline() not in (b"\r\n", b""):
+                    pass
+                self.wfile.write(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                    % (len(body), body)
+                )
+
+        with FakeServer(OneShot) as base:
+            stats = replay_http(base, workload_trace(TOPOLOGY, SIZES, ALGOS))
+        assert stats.queries == 4
+        assert stats.hits == 4 and stats.errors == 0
+
+    def test_http_replay_rejects_a_url_without_http_host(self, tmp_path):
+        scenarios = workload_trace(TOPOLOGY, SIZES, ALGOS)
+        for url in ("127.0.0.1:8177", "https://127.0.0.1:8177", "http://"):
+            with pytest.raises(ValueError, match="http://HOST"):
+                replay_http(url, scenarios)
+        trace = str(tmp_path / "trace.jsonl")
+        record_trace(trace, scenarios)
+        with pytest.raises(SystemExit, match="http://HOST"):
+            main(["replay", "--trace", trace, "--url", "127.0.0.1:8177"])
+
+    def test_http_replay_counts_a_failed_retry_as_an_error(self):
+        class Hangup(socketserver.StreamRequestHandler):
+            def handle(self):
+                self.rfile.readline()  # close without answering
+
+        scenarios = workload_trace(TOPOLOGY, SIZES, ALGOS)
+        with FakeServer(Hangup) as base:
+            stats = replay_http(base, scenarios)
+        assert stats.queries == len(scenarios)
+        assert stats.errors == len(scenarios)
+        assert stats.hits == 0 and stats.misses == 0
+        assert len(stats.latencies_s) == len(scenarios)
+
+
+class FakeServer:
+    """A threaded raw-socket server on an ephemeral port: ``with`` yields
+    its base URL and shuts it down on exit."""
+
+    def __init__(self, handler):
+        self.server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
+        self.server.daemon_threads = True
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, daemon=True
+        )
+
+    def __enter__(self):
+        self.thread.start()
+        return "http://127.0.0.1:%d" % self.server.server_address[1]
+
+    def __exit__(self, *exc):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
