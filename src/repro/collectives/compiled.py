@@ -320,15 +320,17 @@ class CompiledSchedule:
         Bit-identical to
         :func:`repro.ni.injector.simulate_allreduce` on the schedule this
         was compiled from, for every engine.  ``engine="lockstep"`` (the
-        default here — the artifact path exists for speed) feeds the
-        step-level engine directly from the compiled arrays, skipping
-        :class:`Message` allocation entirely, and drops to the
-        heap-ordered array engine (:func:`run_indexed`, equally exact)
-        when step-level grouping would diverge; ``engine="lockstep-vec"``
-        runs the numpy engine of :mod:`repro.network.lockstep_vec` (a
-        one-column batch) with the same scalar ladder as its fallback;
-        ``engine="event"``, a ``recorder``, or ``lockstep=False`` route
-        through the ordinary simulator.
+        default here — the artifact path exists for speed) builds the
+        :class:`repro.network.lockstep_engine.Lowering` straight from the
+        compiled arrays, skipping :class:`Message` allocation entirely,
+        and hands it with the step groups to
+        :func:`repro.network.lockstep_engine.run_lowered` — the same
+        scalar core the simulator uses, step loop first, heap when the
+        step loop declines (recorded as a ``step-overlap`` fallback);
+        ``engine="lockstep-vec"`` runs the numpy engine of
+        :mod:`repro.network.lockstep_vec` (a one-column batch) with that
+        scalar core as its fallback; ``engine="event"``, a ``recorder``,
+        or ``lockstep=False`` route through the ordinary simulator.
         """
         from ..network.flowcontrol import DEFAULT_FLOW_CONTROL
         from ..network.simulator import NetworkSimulator
@@ -350,11 +352,10 @@ class CompiledSchedule:
             import numpy as np
 
             from ..network.lockstep_engine import (
-                _result_from_arrays,
+                Lowering,
                 dep_structure,
                 link_table,
-                run_grouped,
-                run_indexed,
+                run_lowered,
             )
 
             table = link_table(self.topology)
@@ -369,39 +370,28 @@ class CompiledSchedule:
                     self.frac_floats, dtype=np.float64
                 )
                 self._steps_arr = np.asarray(steps, dtype=np.intp)
-            payloads = (frac_arr * data_bytes).tolist()
             gate_vec = np.zeros(self.num_steps + 1, dtype=np.float64)
             for step, gate in gates.items():
                 gate_vec[step] = gate
-            gate_arr = gate_vec[self._steps_arr].tolist()
-            overhead = [scheduling_overhead] * len(steps)
-            route_val = self._table_route_val(table)
             dep_struct = self._dep_struct
             if dep_struct is None:
                 dep_struct = self._dep_struct = dep_structure(
                     self.dep_off, self.dep_val
                 )
-            raw = run_grouped(
-                table,
-                flow_control,
-                self._step_groups(),
-                payloads,
+            groups = self._step_groups()
+            lowering = Lowering(
+                (frac_arr * data_bytes).tolist(),
                 self.route_off,
-                route_val,
+                self._table_route_val(table),
                 dep_struct,
-                gate_arr,
-                overhead,
+                gate_vec[self._steps_arr].tolist(),
+                [scheduling_overhead] * len(steps),
+                groups,
             )
-            if raw is None:
-                # Step-level grouping would diverge from the event order
-                # (deliveries overrun a later gate); run the heap-ordered
-                # engine over the same arrays instead — exact by
-                # construction and still free of Message allocation.
-                raw = run_indexed(
-                    table, flow_control, payloads, self.route_off,
-                    route_val, dep_struct, gate_arr, overhead,
-                )
-            result = _result_from_arrays(table, raw)
+            result, _ = run_lowered(
+                table, flow_control, lowering, groups,
+                topology=self.topology.name,
+            )
             return AllReduceResult(self, data_bytes, result)
         messages = self.build_messages(
             data_bytes, flow_control, lockstep, scheduling_overhead

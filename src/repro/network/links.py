@@ -1,12 +1,10 @@
 """Shared, memoized link-spec snapshot used by every simulation engine.
 
-The event engine (:mod:`repro.network.simulator`), the scalar lockstep
-engine (:mod:`repro.network.lockstep_engine`) and the vectorized engine
-(:mod:`repro.network.lockstep_vec`) all need the same per-link data —
-bandwidth, latency, channel capacity — in a form cheaper than tuple-keyed
-dictionary lookups.  Historically the event engine kept its own "link
-specs" precomputation while the lockstep engine built a separate
-:class:`LinkTable`; this module is the single copy both derive from.
+The scalar core (:mod:`repro.network.lockstep_engine`) and the
+vectorized engine (:mod:`repro.network.lockstep_vec`) need the same
+per-link data — bandwidth, latency, channel capacity — in a form cheaper
+than tuple-keyed dictionary lookups; this module is the single copy both
+derive from.
 
 Topologies are immutable once built, so :func:`link_table` memoizes the
 snapshot on the topology instance.

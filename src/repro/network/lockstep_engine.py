@@ -1,52 +1,65 @@
-"""Step-level lockstep simulation engine.
+"""The scalar simulation core: one heap loop, one step loop, one entry.
 
-The event engine in :mod:`repro.network.simulator` resolves messages one
-at a time off a global ready-time heap.  For *lockstep-gated* schedules
-(§IV-A) that generality is wasted: the per-step message set is fixed by
-the schedule, every dependency crosses a step boundary, and the lockstep
-gates order the steps in time.  This engine exploits that structure — it
-walks the steps in gate order and resolves each step's messages in one
-closed-form FIFO pass per link (sorted arrival order within the step),
-over flat integer-indexed arrays instead of heap tuples, dictionaries
-keyed by link tuples, and per-message dataclasses.
+Every scalar simulation — :meth:`repro.network.simulator.NetworkSimulator.run`
+on ``Message`` lists and
+:meth:`repro.collectives.compiled.CompiledSchedule.simulate` on compiled
+arrays — goes through :func:`run_lowered`:
 
-**Array-based hot state.**  Both engines here consume the per-message
-state as flat parallel arrays in CSR form: routes are ``(route_off,
-route_val)`` offset/value lists of dense link ids, and the dependency
-graph is the :func:`dep_structure` triple.  Beyond avoiding per-hop
-dictionary lookups, the flat layout matters for sustained throughput:
-a 1024-node lowering holds millions of messages, and representing their
+* :func:`run_indexed` — the global ``(ready, push_seq)`` heap.  It
+  resolves one message at a time and FIFO channels grant in pop order.
+  It works for any dependency DAG, never declines, and is the
+  ``engine="event"`` semantics.
+* :func:`run_grouped` — the step loop for *lockstep-gated* message sets
+  (§IV-A), where every dependency crosses a step boundary and the gates
+  order the steps in time.  It walks the steps in gate order and resolves
+  each step's messages in one sorted pass, skipping the heap.
+
+:func:`lower_messages` turns a ``Message`` list into the arrays both
+loops read; the compiled path builds the same arrays from its columns.
+
+**Array-based hot state.**  Both loops consume the per-message state as
+flat parallel arrays in CSR form: routes are ``(route_off, route_val)``
+offset/value lists of dense link ids, and the dependency graph is the
+:func:`dep_structure` triple.  Beyond avoiding per-hop dictionary
+lookups, the flat layout matters for sustained throughput: a 1024-node
+lowering holds millions of messages, and representing their
 routes/dependencies as millions of small lists makes every cyclic-GC
 generation scan traverse them all — measured as a multi-x slowdown on
 repeated large simulations.  A handful of flat lists of ints is invisible
 to the collector.
 
-**Exact equivalence.**  The event engine's outcome is fully determined by
-the order messages are *processed* — the heap pops ``(ready, push_seq)``
-pairs, and FIFO channel grants follow that order.  This engine reproduces
-that order exactly: it replays the heap's push-sequence numbering (initial
-pushes in message-index order, then wake-ups in processing order), sorts
-each step's messages by the same ``(ready, push_seq)`` key, and verifies
-at every step boundary that the per-step order is consistent with the
-global one.  Whenever the verification holds, every computed time — grant,
-injection, delivery, idle-network ideal — is produced by the identical
-sequence of floating-point operations, so results are bit-identical to
-the event engine, not merely close.
+**Exact equivalence.**  The heap's outcome is fully determined by the
+order messages are *processed* — it pops ``(ready, push_seq)`` pairs,
+and FIFO channel grants follow that order.  The step loop reproduces
+that order exactly: it replays the heap's push-sequence numbering
+(initial pushes in message-index order, then wake-ups in processing
+order), sorts each step's messages by the same ``(ready, push_seq)`` key,
+and verifies at every step boundary that the per-step order is
+consistent with the global one.  Whenever the verification holds, every
+computed time — grant, injection, delivery, idle-network ideal — is
+produced by the identical sequence of floating-point operations, so
+results are bit-identical to the heap, not merely close.  Both loops
+return raw arrays and :func:`_result_from_arrays` builds every
+:class:`SimulationResult`, so ``link_busy`` (and any float summed over
+it) is the same on every engine.
 
-**Fallback.**  When the message set is not lockstep-gated (no step gates,
-intra-step dependencies, or deliveries that overrun a later step's gate
-enough to reorder processing across steps), the functions here return
-``None`` and the caller falls back to the event engine, which remains the
-semantic reference.  :meth:`repro.network.simulator.NetworkSimulator.run`
-does this automatically for ``engine="lockstep"``.
+**Fallback.**  When deliveries overrun a later step's gate enough to
+reorder processing across steps, :func:`run_grouped` returns ``None``
+and :func:`run_lowered` records a ``step-overlap`` fallback and runs the
+heap on the same arrays.  A ``Message`` list that is not lockstep-gated
+(no step gates, or intra-step dependencies) has no groups and goes to
+the heap directly.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+import heapq
+from itertools import accumulate, chain
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .. import obs
-from ..topology.base import Topology
 from .flowcontrol import FlowControl
 from .links import LinkTable, link_table
 from .simulator import Message, MessageTiming, SimulationResult
@@ -55,12 +68,13 @@ __all__ = [
     "DepStructure",
     "LazyTimings",
     "LinkTable",
+    "Lowering",
     "dep_structure",
-    "flatten_lists",
     "link_table",
+    "lower_messages",
     "run_grouped",
     "run_indexed",
-    "run_lockstep",
+    "run_lowered",
 ]
 
 #: ``(dependents_off, dependents_val, dep_counts)`` — CSR adjacency of
@@ -69,16 +83,22 @@ __all__ = [
 DepStructure = Tuple[List[int], List[int], List[int]]
 
 
-def flatten_lists(lists: Sequence[Sequence[int]]) -> Tuple[List[int], List[int]]:
-    """``(offsets, values)`` CSR form of a list-of-int-lists."""
-    offsets = [0]
-    values: List[int] = []
-    append = offsets.append
-    extend = values.extend
-    for item in lists:
-        extend(item)
-        append(len(values))
-    return offsets, values
+class Lowering(NamedTuple):
+    """The per-message arrays both scalar loops read.
+
+    The first six fields are the positional tail of :func:`run_indexed`
+    (and of :func:`run_grouped` after its ``groups``), in that order.
+    ``groups`` lists message indices per lockstep gate, ascending, or is
+    ``None`` when the set is not lockstep-gated.
+    """
+
+    payloads: Sequence[float]
+    route_off: Sequence[int]
+    route_val: Sequence[int]
+    dep_struct: DepStructure
+    not_before: Sequence[float]
+    receive_overhead: Sequence[float]
+    groups: Optional[List[List[int]]]
 
 
 def dep_structure(dep_off: Sequence[int], dep_val: Sequence[int]) -> DepStructure:
@@ -86,28 +106,77 @@ def dep_structure(dep_off: Sequence[int], dep_val: Sequence[int]) -> DepStructur
 
     ``dependents_val[dependents_off[i]:dependents_off[i+1]]`` lists the
     messages waiting on message ``i``, in message-index order — the order
-    the event engine wakes them in.  Everything here depends only on the
+    the heap wakes them in.  Everything here depends only on the
     lowering, not the payload, so the compiled artifact path memoizes the
     triple across simulations (see
     :meth:`repro.collectives.compiled.CompiledSchedule.simulate`).  The
     counts list is never mutated by the engines; they copy it per run.
     """
-    n = len(dep_off) - 1
-    counts = [dep_off[i + 1] - dep_off[i] for i in range(n)]
-    fanout = [0] * n
-    for dep in dep_val:
-        fanout[dep] += 1
-    dd_off = [0] * (n + 1)
-    for i in range(n):
-        dd_off[i + 1] = dd_off[i] + fanout[i]
-    cursor = list(dd_off)
-    dd_val = [0] * len(dep_val)
-    for idx in range(n):
-        for k in range(dep_off[idx], dep_off[idx + 1]):
-            dep = dep_val[k]
-            dd_val[cursor[dep]] = idx
-            cursor[dep] += 1
-    return dd_off, dd_val, counts
+    counts = np.diff(np.asarray(dep_off, dtype=np.intp))
+    n = len(counts)
+    deps = np.asarray(dep_val, dtype=np.intp)
+    owner = np.repeat(np.arange(n, dtype=np.intp), counts)
+    # A stable sort by dependency keeps each message's dependents in
+    # index order.
+    dd_val = owner[np.argsort(deps, kind="stable")]
+    dd_off = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(deps, minlength=n), out=dd_off[1:])
+    return dd_off.tolist(), dd_val.tolist(), counts.tolist()
+
+
+def _gate_groups(
+    not_before: Sequence[float], dep_off: Sequence[int], dep_val: Sequence[int]
+) -> Optional[List[List[int]]]:
+    """Message indices per ``not_before`` gate, or ``None`` if not gated.
+
+    The set is lockstep-gated when every dependency points into a
+    strictly earlier gate group — the shape
+    :func:`repro.ni.injector.build_messages` produces with
+    ``lockstep=True``.
+    """
+    gates, group_of = np.unique(
+        np.asarray(not_before, dtype=np.float64), return_inverse=True
+    )
+    deps = np.asarray(dep_val, dtype=np.intp)
+    if (group_of[deps] >= np.repeat(group_of, np.diff(dep_off))).any():
+        return None
+    order = np.argsort(group_of, kind="stable")
+    bounds = np.cumsum(np.bincount(group_of, minlength=len(gates)))[:-1]
+    return [group.tolist() for group in np.split(order, bounds)]
+
+
+def lower_messages(table: LinkTable, messages: Sequence[Message]) -> Lowering:
+    """The :class:`Lowering` of a ``Message`` list over ``table``'s links.
+
+    Raises ``ValueError`` naming the message and the link when a route
+    uses a link the topology does not declare.
+    """
+    routes = [msg.route for msg in messages]
+    try:
+        route_val = list(
+            map(table.id_of.__getitem__, chain.from_iterable(routes))
+        )
+    except KeyError as exc:
+        link = exc.args[0]
+        idx = next(i for i, route in enumerate(routes) if link in route)
+        raise ValueError(
+            "message %d routes over link %r, which the topology does not "
+            "declare" % (idx, link)
+        ) from None
+    deps = [msg.deps for msg in messages]
+    dep_off = np.zeros(len(deps) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, deps), np.intp, len(deps)), out=dep_off[1:])
+    dep_val = np.fromiter(chain.from_iterable(deps), np.intp, dep_off[-1])
+    not_before = [msg.not_before for msg in messages]
+    return Lowering(
+        [msg.payload_bytes for msg in messages],
+        [0, *accumulate(map(len, routes))],
+        route_val,
+        dep_structure(dep_off, dep_val),
+        not_before,
+        [msg.receive_overhead for msg in messages],
+        _gate_groups(not_before, dep_off, dep_val),
+    )
 
 
 class LazyTimings:
@@ -117,7 +186,7 @@ class LazyTimings:
     million-message scale and most callers (sweeps, benchmarks) only read
     ``finish_time`` — so the arrays are kept as-is and the object list is
     built on first access, then cached.  Equality, iteration, indexing,
-    and ``len`` all behave like the plain list the event engine returns.
+    and ``len`` all behave like a plain ``MessageTiming`` list.
     """
 
     __slots__ = ("_ready", "_inject", "_deliver", "_ideal", "_list")
@@ -179,11 +248,11 @@ def run_grouped(
     recorder=None,
     messages: Optional[List[Message]] = None,
 ):
-    """Core step-level loop over pre-grouped message indices.
+    """Step-level loop over pre-grouped message indices.
 
     ``groups`` lists message indices per lockstep group, in ascending gate
     order; every dependency must resolve in a strictly earlier group (the
-    caller guarantees this — see :func:`run_lockstep` and
+    caller guarantees this — see :func:`lower_messages` and
     :meth:`repro.collectives.compiled.CompiledSchedule.simulate`).
     Routes arrive as CSR dense-link-id arrays and the dependency graph as
     a :func:`dep_structure` triple — both payload-independent, so repeat
@@ -191,11 +260,11 @@ def run_grouped(
 
     Returns ``(finish, ready, inject, deliver, ideal, busy, total_wire)``
     arrays, or ``None`` when processing the groups in order would diverge
-    from the event engine's global ``(ready, push_seq)`` order — the
-    caller must then fall back.
+    from the heap's global ``(ready, push_seq)`` order — the caller must
+    then run :func:`run_indexed` instead.
 
     ``recorder`` requires ``messages`` (the original message objects) so
-    hop and completion events carry the same payload as the event engine's.
+    completion events carry the message itself.
     """
     n = len(payloads)
     num_links = len(table.keys)
@@ -204,7 +273,7 @@ def run_grouped(
     capacity = table.capacity
     keys = table.keys
 
-    # Dependency bookkeeping — identical wake order to the event engine's.
+    # Dependency bookkeeping — identical wake order to the heap's.
     dd_off, dd_val, dep_counts = dep_struct
     remaining = list(dep_counts)
     ready = list(not_before)
@@ -221,7 +290,7 @@ def run_grouped(
 
     # Per-link FIFO state: capacity-1 links (the common case) use the flat
     # ``avail`` array; wider links lazily get a channel pool, matching the
-    # event engine's argmin channel selection.
+    # heap's argmin channel selection.
     avail = [0.0] * num_links
     pools: Dict[int, List[float]] = {}
     busy = [0.0] * num_links
@@ -246,7 +315,7 @@ def run_grouped(
             first_ready == last_ready and first_seq < last_seq
         ):
             # A message of this group becomes ready before the previous
-            # group finished injecting: the event engine would interleave
+            # group finished injecting: the heap would interleave
             # the two steps, so step-level processing is not exact here.
             return None
         for rd, _sq, idx in entries:
@@ -340,27 +409,24 @@ def run_indexed(
     dep_struct: DepStructure,
     not_before: Sequence[float],
     receive_overhead: Sequence[float],
+    recorder=None,
+    messages: Optional[List[Message]] = None,
 ):
-    """Heap-ordered engine over dense link-indexed arrays.
+    """The global ``(ready, push_seq)`` heap over dense link-indexed arrays.
 
-    Identical processing order and arithmetic to the event engine in
-    :meth:`repro.network.simulator.NetworkSimulator.run` — a global
-    ``(ready, push_seq)`` heap — but over the same flat arrays as
-    :func:`run_grouped`: CSR link ids, payload/dependency arrays, no
-    per-message objects and no recorder branches.  Exact by construction
-    (it never declines), so it is the fast fallback tier of the compiled
-    path when step-level grouping would diverge (see
-    :meth:`repro.collectives.compiled.CompiledSchedule.simulate`).
+    The ``engine="event"`` semantics: messages are processed in heap pop
+    order and FIFO channels grant in that order, for any dependency DAG.
+    Same arrays and ``recorder``/``messages`` hooks as
+    :func:`run_grouped`; never declines.
 
     Returns the same tuple as :func:`run_grouped`.
     """
-    import heapq
-
     n = len(payloads)
     num_links = len(table.keys)
     bandwidth = table.bandwidth
     latency = table.latency
     capacity = table.capacity
+    keys = table.keys
 
     dd_off, dd_val, dep_counts = dep_struct
     remaining = list(dep_counts)
@@ -410,6 +476,7 @@ def run_indexed(
             for k in range(r0, r1):
                 li = route_val[k]
                 if capacity[li] == 1:
+                    ch = 0
                     at = avail[li]
                     ser = wire / bandwidth[li]
                     grant = head if head >= at else at
@@ -424,6 +491,8 @@ def run_indexed(
                     grant = head if head >= at else at
                     pool[ch] = grant + ser
                 busy[li] += ser
+                if recorder is not None:
+                    recorder.hop(idx, keys[li], ch, head, grant, ser)
                 if inj is None:
                     inj = grant
                 lat = latency[li]
@@ -437,6 +506,10 @@ def run_indexed(
         inject[idx] = inj
         deliver[idx] = dlv
         ideal[idx] = idl
+        if recorder is not None:
+            recorder.message_done(
+                idx, messages[idx], MessageTiming(rd, inj, dlv, idl), wire
+            )
         if dlv > finish:
             finish = dlv
         processed += 1
@@ -474,73 +547,57 @@ def _result_from_arrays(table: LinkTable, raw) -> SimulationResult:
     )
 
 
-def run_lockstep(
-    topology: Topology,
-    flow_control: FlowControl,
-    messages: List[Message],
-    recorder=None,
-) -> Optional[SimulationResult]:
-    """Step-level simulation of raw messages; ``None`` means fall back.
+class _HeldRecorder:
+    """Holds the step loop's recorder calls until it is known to accept.
 
-    Messages are grouped by their ``not_before`` gate.  The set is
-    lockstep-gated when every dependency points into a strictly earlier
-    gate group — the shape :func:`repro.ni.injector.build_messages`
-    produces with ``lockstep=True``.
+    A declined step loop has already reported its early groups, and the
+    heap then reports every message again.
     """
-    if not messages:
-        return SimulationResult(
-            finish_time=0.0, timings=[], link_busy={}, total_wire_bytes=0.0
-        )
-    topo = getattr(topology, "name", None)
-    gates = sorted({msg.not_before for msg in messages})
-    if len(gates) <= 1 and any(msg.deps for msg in messages):
-        # Ungated with dependencies: nothing step-level here.
-        obs.record_fallback("lockstep", "not-lockstep-gated", topology=topo)
-        return None
-    group_index = {gate: g for g, gate in enumerate(gates)}
-    group_of = [group_index[msg.not_before] for msg in messages]
-    groups: List[List[int]] = [[] for _ in gates]
-    for idx, msg in enumerate(messages):
-        g = group_of[idx]
-        for dep in msg.deps:
-            if group_of[dep] >= g:
-                # Intra-group dependency: not lockstep-gated.
-                obs.record_fallback(
-                    "lockstep", "not-lockstep-gated", topology=topo
-                )
-                return None
-        groups[g].append(idx)
 
-    table = link_table(topology)
-    id_of = table.id_of
-    route_off = [0]
-    route_val: List[int] = []
-    try:
-        for msg in messages:
-            for key in msg.route:
-                route_val.append(id_of[key])
-            route_off.append(len(route_val))
-    except KeyError:
-        # Route uses a link the topology does not declare.
-        obs.record_fallback("lockstep", "unknown-link", topology=topo)
-        return None
-    dep_off, dep_val = flatten_lists([msg.deps for msg in messages])
-    raw = run_grouped(
-        table,
-        flow_control,
-        groups,
-        [msg.payload_bytes for msg in messages],
-        route_off,
-        route_val,
-        dep_structure(dep_off, dep_val),
-        [msg.not_before for msg in messages],
-        [msg.receive_overhead for msg in messages],
-        recorder=recorder,
-        messages=messages,
-    )
-    if raw is None:
-        # run_grouped declined: a step overlapped the previous group's
-        # injection window, so step-level processing is not exact.
-        obs.record_fallback("lockstep", "step-overlap", topology=topo)
-        return None
-    return _result_from_arrays(table, raw)
+    def __init__(self, recorder) -> None:
+        self.calls: List[Tuple[object, tuple]] = []
+        self.hop = lambda *args: self.calls.append((recorder.hop, args))
+        self.message_done = lambda *args: self.calls.append(
+            (recorder.message_done, args)
+        )
+
+
+def run_lowered(
+    table: LinkTable,
+    flow_control: FlowControl,
+    lowering: Lowering,
+    groups: Optional[Sequence[Sequence[int]]] = None,
+    recorder=None,
+    messages: Optional[List[Message]] = None,
+    topology: Optional[str] = None,
+) -> Tuple[SimulationResult, str]:
+    """Simulate ``lowering``; returns ``(result, engine that resolved)``.
+
+    With ``groups`` the step loop runs first; when it declines the
+    ``step-overlap`` fallback is recorded against ``topology`` and the
+    heap runs on the same arrays.  Without ``groups`` only the heap runs.
+    The engine is ``"lockstep"`` when the step loop answered, ``"event"``
+    when the heap did.
+    """
+    arrays = lowering[:6]
+    if groups is not None:
+        held = _HeldRecorder(recorder) if recorder is not None else None
+        with obs.span("engine.lockstep", topology=topology) as rung:
+            raw = run_grouped(
+                table, flow_control, groups, *arrays,
+                recorder=held, messages=messages,
+            )
+            rung.set("accepted", raw is not None)
+        if raw is not None:
+            if held is not None:
+                for call, args in held.calls:
+                    call(*args)
+            return _result_from_arrays(table, raw), "lockstep"
+        # A step overlapped the previous group's injection window, so
+        # step-level processing would not be exact.
+        obs.record_fallback("lockstep", "step-overlap", topology=topology)
+    with obs.span("engine.event", topology=topology):
+        raw = run_indexed(
+            table, flow_control, *arrays, recorder=recorder, messages=messages
+        )
+    return _result_from_arrays(table, raw), "event"

@@ -53,7 +53,12 @@ import numpy as np
 from .. import obs
 from ..metrics.registry import get_registry
 from .links import LinkTable, link_table
-from .lockstep_engine import LazyTimings, dep_structure, flatten_lists
+from .lockstep_engine import (
+    LazyTimings,
+    Lowering,
+    dep_structure,
+    lower_messages,
+)
 from .simulator import Message, SimulationResult
 
 #: Largest float64 integer range where ``a + b`` is exact for nonnegative
@@ -752,8 +757,6 @@ def _compiled_plan(compiled):
     """
     plan = compiled._vec_plan
     if plan is None:
-        from ..network.lockstep_engine import dep_structure as _dep_structure
-
         table = link_table(compiled.topology)
         plan = _try_range_plan(compiled, table)
         if plan is None:
@@ -764,7 +767,7 @@ def _compiled_plan(compiled):
                 return None
             dep_struct = compiled._dep_struct
             if dep_struct is None:
-                dep_struct = compiled._dep_struct = _dep_structure(
+                dep_struct = compiled._dep_struct = dep_structure(
                     compiled.dep_off, compiled.dep_val
                 )
             plan = build_plan(
@@ -785,69 +788,41 @@ def run_lockstep_vec(
     flow_control,
     messages: List[Message],
     recorder=None,
+    lowering: Optional[Lowering] = None,
 ) -> Optional[SimulationResult]:
     """Vectorized simulation of raw messages; ``None`` means fall back.
 
-    Accepts the same lockstep-gated shape as
-    :func:`repro.network.lockstep_engine.run_lockstep` (single-size: the
-    batch axis has one column).  A ``recorder`` declines immediately —
-    trace callbacks are inherently per-message, and the scalar ladder
-    records identically.
+    Accepts the lockstep-gated shape of
+    :func:`repro.network.lockstep_engine.lower_messages` (single-size: the
+    batch axis has one column); pass that ``lowering`` when the caller
+    already holds it.  A ``recorder`` declines immediately — trace
+    callbacks are inherently per-message, and the scalar ladder records
+    identically.
     """
     topo = getattr(topology, "name", None)
     if recorder is not None:
         obs.record_fallback("lockstep-vec", "recorder", topology=topo)
         return None
-    if not messages:
-        return SimulationResult(
-            finish_time=0.0, timings=[], link_busy={}, total_wire_bytes=0.0
-        )
-    gates = sorted({msg.not_before for msg in messages})
-    if len(gates) <= 1 and any(msg.deps for msg in messages):
-        # Ungated with dependencies: nothing step-level here.
+    table = link_table(topology)
+    if lowering is None:
+        lowering = lower_messages(table, messages)
+    groups = lowering.groups
+    if groups is None:
         obs.record_fallback(
             "lockstep-vec", "not-lockstep-gated", topology=topo
         )
         return None
-    group_index = {gate: g for g, gate in enumerate(gates)}
-    group_of = [group_index[msg.not_before] for msg in messages]
-    groups: List[List[int]] = [[] for _ in gates]
-    for idx, msg in enumerate(messages):
-        g = group_of[idx]
-        for dep in msg.deps:
-            if group_of[dep] >= g:
-                # Intra-group dependency: not lockstep-gated.
-                obs.record_fallback(
-                    "lockstep-vec", "not-lockstep-gated", topology=topo
-                )
-                return None
-        groups[g].append(idx)
-
-    table = link_table(topology)
-    id_of = table.id_of
-    route_off = [0]
-    route_val: List[int] = []
-    try:
-        for msg in messages:
-            for key in msg.route:
-                route_val.append(id_of[key])
-            route_off.append(len(route_val))
-    except KeyError:
-        # Route uses a link the topology does not declare.
-        obs.record_fallback("lockstep-vec", "unknown-link", topology=topo)
-        return None
-    dep_off, dep_val = flatten_lists([msg.deps for msg in messages])
-    dep_struct = dep_structure(dep_off, dep_val)
-    plan = build_plan(groups, route_off, route_val, dep_struct, table)
+    plan = build_plan(
+        groups, lowering.route_off, lowering.route_val, lowering.dep_struct,
+        table,
+    )
     if not plan.ok:
         obs.record_fallback(
             "lockstep-vec", plan.reason or "plan", topology=topo
         )
         return None
 
-    payloads = np.asarray(
-        [msg.payload_bytes for msg in messages], dtype=np.float64
-    )
+    payloads = np.asarray(lowering.payloads, dtype=np.float64)
     uniq, wire_idx = np.unique(payloads, return_inverse=True)
     wire, exact = wire_classes(flow_control, uniq[:, None])
     hops_per_class = np.bincount(
@@ -857,12 +832,8 @@ def run_lockstep_vec(
     if not exact[0]:
         obs.record_fallback("lockstep-vec", "wire-total", topology=topo)
         return None
-    ready = np.asarray(
-        [msg.not_before for msg in messages], dtype=np.float64
-    )[:, None]
-    overhead = np.asarray(
-        [msg.receive_overhead for msg in messages], dtype=np.float64
-    )
+    ready = np.asarray(lowering.not_before, dtype=np.float64)[:, None]
+    overhead = np.asarray(lowering.receive_overhead, dtype=np.float64)
     valid, finish, busy, qmax, timings = run_plan(
         plan, table, wire, wire_idx.astype(np.intp), ready, overhead,
         keep_timings=True,

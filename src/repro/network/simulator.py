@@ -1,4 +1,4 @@
-"""Discrete-event, link-level interconnect simulator.
+"""Link-level interconnect simulator: the message model and its front end.
 
 The simulator plays a set of point-to-point :class:`Message`\\ s over the
 topology's links.  Each link is a set of ``capacity`` independently
@@ -12,16 +12,18 @@ modeled; contention appears as FIFO queueing delay at each channel.
 
 Messages carry explicit dependency edges (receive-before-send, produced by
 :mod:`repro.ni.injector` from the schedule tables) and an optional earliest
-injection time (the lockstep gate of §IV-A).  Events are processed in
-global time order so FIFO arbitration between competing messages matches
-their actual readiness order.
+injection time (the lockstep gate of §IV-A).  :class:`NetworkSimulator`
+lowers a message list to flat arrays once and hands it to the engines:
+the vectorized :mod:`repro.network.lockstep_vec`, then the scalar core of
+:mod:`repro.network.lockstep_engine` (its step loop, then its global
+ready-time heap, which processes messages in time order so FIFO
+arbitration between competing messages matches their actual readiness
+order).
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
@@ -158,17 +160,21 @@ class NetworkSimulator:
         are computed (see :mod:`repro.trace`); it never alters the
         simulation — results are bit-identical with and without one.
 
-        ``engine`` selects the resolution strategy:
+        ``messages`` are lowered to flat arrays once
+        (:func:`repro.network.lockstep_engine.lower_messages`); a route
+        over a link the topology does not declare raises ``ValueError``
+        on every engine.  ``engine`` selects where the ladder starts:
 
-        * ``"event"`` (default) — the global ready-time heap below; works
-          for any dependency DAG and is the semantic reference.
-        * ``"lockstep"`` — the step-level engine of
-          :mod:`repro.network.lockstep_engine`, which exploits lockstep
-          gating to resolve whole steps at a time.  Results are
-          bit-identical to the event engine; when the message set is not
-          lockstep-gated (or deliveries overrun a later gate enough to
-          reorder processing across steps) it automatically falls back to
-          the event engine and counts ``sim.lockstep_fallbacks``.
+        * ``"event"`` (default) — the global ready-time heap
+          (:func:`repro.network.lockstep_engine.run_indexed`); works for
+          any dependency DAG and is the semantic reference.
+        * ``"lockstep"`` — the step loop
+          (:func:`repro.network.lockstep_engine.run_grouped`), which
+          exploits lockstep gating to resolve whole steps at a time.
+          Results are bit-identical to the heap; when the message set is
+          not lockstep-gated (or deliveries overrun a later gate enough
+          to reorder processing across steps) the heap answers instead,
+          and ``sim.lockstep_fallbacks`` counts it.
         * ``"lockstep-vec"`` — the numpy-vectorized engine of
           :mod:`repro.network.lockstep_vec`, which resolves each step's
           per-link FIFO pass with array ops.  Results are bit-identical
@@ -177,6 +183,8 @@ class NetworkSimulator:
           down the ladder to ``"lockstep"`` and then ``"event"``, with
           each decline counted (``sim.lockstep_vec_fallbacks`` /
           ``sim.lockstep_fallbacks``), never silent.
+
+        ``sim.engine_runs{engine=...}`` records the rung that answered.
         """
         if engine not in ("event", "lockstep", "lockstep-vec"):
             raise ValueError(
@@ -201,213 +209,49 @@ class NetworkSimulator:
         engine: str,
     ) -> Tuple[SimulationResult, str]:
         """Walk the engine fallback ladder; returns (result, engine used)."""
+        from .lockstep_engine import lower_messages, run_lowered
+
+        topo = self.topology.name
+        table = link_table(self.topology)
+        lowering = lower_messages(table, messages)
+        registry = get_registry()
+        result = None
         if engine == "lockstep-vec":
             from .lockstep_vec import run_lockstep_vec
 
-            with obs.span(
-                "engine.lockstep-vec", topology=self.topology.name
-            ) as rung:
+            with obs.span("engine.lockstep-vec", topology=topo) as rung:
                 result = run_lockstep_vec(
-                    self.topology, self.flow_control, messages, recorder
+                    self.topology, self.flow_control, messages, recorder,
+                    lowering,
                 )
                 rung.set("accepted", result is not None)
-            registry = get_registry()
-            if result is not None:
+            resolved = "lockstep-vec"
+            if result is None:
                 if registry is not None:
                     registry.counter(
-                        "sim.engine_runs",
-                        engine="lockstep-vec",
-                        topology=self.topology.name,
+                        "sim.lockstep_vec_fallbacks", topology=topo
                     ).inc()
-                    self._record_metrics(registry, messages, result)
-                return result, "lockstep-vec"
-            if registry is not None:
-                registry.counter(
-                    "sim.lockstep_vec_fallbacks", topology=self.topology.name
-                ).inc()
-            engine = "lockstep"  # next rung of the fallback ladder
-        if engine == "lockstep":
-            from .lockstep_engine import run_lockstep
-
-            with obs.span(
-                "engine.lockstep", topology=self.topology.name
-            ) as rung:
-                result = run_lockstep(
-                    self.topology, self.flow_control, messages, recorder
-                )
-                rung.set("accepted", result is not None)
-            registry = get_registry()
-            if result is not None:
-                if registry is not None:
-                    registry.counter(
-                        "sim.engine_runs",
-                        engine="lockstep",
-                        topology=self.topology.name,
-                    ).inc()
-                    self._record_metrics(registry, messages, result)
-                return result, "lockstep"
-            if registry is not None:
-                registry.counter(
-                    "sim.lockstep_fallbacks", topology=self.topology.name
-                ).inc()
-        with obs.span("engine.event", topology=self.topology.name):
-            return self._run_event(messages, recorder), "event"
-
-    def _run_event(
-        self,
-        messages: List[Message],
-        recorder: Optional["TraceRecorder"],
-    ) -> SimulationResult:
-        """The global ready-time heap — the semantic reference engine."""
-        topo = self.topology
-        fc = self.flow_control
-
-        # Hot-loop setup: the shared memoized link-spec snapshot (dense
-        # integer link ids instead of tuple-keyed dictionary lookups per
-        # hop — the same :class:`repro.network.links.LinkTable` the
-        # lockstep engines use), per-payload wire-size memoization (an
-        # all-reduce has few distinct payload sizes), and local bindings of
-        # the attributes the loop touches on every event.
-        table = link_table(topo)
-        id_of = table.id_of
-        bandwidth_col = table.bandwidth
-        latency_col = table.latency
-        capacity_col = table.capacity
-        channels: Dict[int, List[float]] = {}
-        wire_cache: Dict[float, float] = {}
-        wire_bytes = fc.wire_bytes
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        # Per-message hot state as parallel arrays (ready/inject/deliver/
-        # ideal); MessageTiming objects are materialized once, after the
-        # loop, so the hot loop never touches per-message dataclasses.
-        n = len(messages)
-        inject_arr = [0.0] * n
-        deliver_arr = [0.0] * n
-        ideal_arr = [0.0] * n
-        link_busy: Dict[LinkKey, float] = {}
-        busy_get = link_busy.get
-        channels_get = channels.get
-        total_wire = 0.0
-
-        # Dependency bookkeeping.
-        remaining = [0] * len(messages)
-        dependents: Dict[int, List[int]] = {}
-        for idx, msg in enumerate(messages):
-            remaining[idx] = len(msg.deps)
-            for dep in msg.deps:
-                dependents.setdefault(dep, []).append(idx)
-        ready_time = [msg.not_before for msg in messages]
-
-        counter = itertools.count()
-        heap: List[Tuple[float, int, int]] = []
-        for idx, msg in enumerate(messages):
-            if remaining[idx] == 0:
-                heappush(heap, (ready_time[idx], next(counter), idx))
-
-        finish = 0.0
-        processed = 0
-        while heap:
-            ready, _seq, idx = heappop(heap)
-            msg = messages[idx]
-
-            payload = msg.payload_bytes
-            wire = wire_cache.get(payload)
-            if wire is None:
-                wire = wire_bytes(payload)
-                wire_cache[payload] = wire
-            route = msg.route
-            # Zero-hop (src == dst) messages traverse no links and put no
-            # bytes on any wire.
-            total_wire += wire * len(route)
-            if not route:  # zero-hop (src == dst) — degenerate, instant
-                inject = ready
-                deliver = ready
-                ideal = ready
-            else:
-                head = ready
-                inject = None
-                ser = 0.0
-                lat_sum = 0.0
-                max_ser = 0.0
-                for key in route:
-                    li = id_of[key]
-                    pool = channels_get(li)
-                    if pool is None:
-                        pool = [0.0] * capacity_col[li]
-                        channels[li] = pool
-                    # Fast path for the common capacity-1 link: no argmin
-                    # scan over channels, the single slot is the channel.
-                    if len(pool) == 1:
-                        ch = 0
-                        avail = pool[0]
-                    else:
-                        ch = min(range(len(pool)), key=pool.__getitem__)
-                        avail = pool[ch]
-                    ser = wire / bandwidth_col[li]
-                    grant = head if head >= avail else avail
-                    pool[ch] = grant + ser
-                    link_busy[key] = busy_get(key, 0.0) + ser
-                    if recorder is not None:
-                        recorder.hop(idx, key, ch, head, grant, ser)
-                    if inject is None:
-                        inject = grant
-                    latency = latency_col[li]
-                    head = grant + latency
-                    lat_sum += latency
-                    if ser > max_ser:
-                        max_ser = ser
-                # ``ser`` still holds the last hop's serialization time, and
-                # lat_sum/max_ser accumulated in route order match the
-                # separate sum()/max() passes of the reference loop
-                # bit-for-bit.
-                deliver = head + ser
-                ideal = ready + lat_sum + max_ser
-            ready_time[idx] = ready
-            inject_arr[idx] = inject
-            deliver_arr[idx] = deliver
-            ideal_arr[idx] = ideal
-            if recorder is not None:
-                recorder.message_done(
-                    idx, msg, MessageTiming(ready, inject, deliver, ideal), wire
-                )
-            if deliver > finish:
-                finish = deliver
-            processed += 1
-
-            for dep_idx in dependents.get(idx, ()):  # wake dependents
-                wake = deliver + messages[dep_idx].receive_overhead
-                if wake > ready_time[dep_idx]:
-                    ready_time[dep_idx] = wake
-                remaining[dep_idx] -= 1
-                if remaining[dep_idx] == 0:
-                    heappush(heap, (ready_time[dep_idx], next(counter), dep_idx))
-
-        if processed != len(messages):
-            stuck = [i for i in range(len(messages)) if remaining[i] > 0]
-            raise RuntimeError(
-                "dependency deadlock: %d messages never became ready (first: %s)"
-                % (len(stuck), stuck[:5])
+                engine = "lockstep"  # next rung of the fallback ladder
+        if result is None:
+            groups = None
+            if engine == "lockstep":
+                groups = lowering.groups
+                if groups is None:
+                    obs.record_fallback(
+                        "lockstep", "not-lockstep-gated", topology=topo
+                    )
+            result, resolved = run_lowered(
+                table, self.flow_control, lowering, groups, recorder,
+                messages, topo,
             )
-        result = SimulationResult(
-            finish_time=finish,
-            timings=[
-                MessageTiming(
-                    ready_time[i], inject_arr[i], deliver_arr[i], ideal_arr[i]
-                )
-                for i in range(n)
-            ],
-            link_busy=link_busy,
-            total_wire_bytes=total_wire,
-        )
-        registry = get_registry()
+            if registry is not None and resolved != engine:
+                registry.counter("sim.lockstep_fallbacks", topology=topo).inc()
         if registry is not None:
             registry.counter(
-                "sim.engine_runs", engine="event", topology=topo.name
+                "sim.engine_runs", engine=resolved, topology=topo
             ).inc()
             self._record_metrics(registry, messages, result)
-        return result
+        return result, resolved
 
     def _record_metrics(
         self,

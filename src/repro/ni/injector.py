@@ -149,9 +149,12 @@ def simulate_allreduce(
     export and critical-path analysis; ``None`` (the default) simulates
     with zero observation overhead.
 
-    ``engine="lockstep"`` opts into the step-level engine (bit-identical
-    results, automatic fallback to the event engine when the lowered
-    messages are not lockstep-gated — e.g. with ``lockstep=False``); see
+    ``engine`` picks the first rung of the simulator's ladder: the
+    default ``"event"`` runs the heap only, ``"lockstep"`` tries the step
+    loop first (bit-identical results; the heap answers when the lowered
+    messages are not lockstep-gated — e.g. with ``lockstep=False`` — or
+    the step loop declines), and ``"lockstep-vec"`` tries the vectorized
+    engine before both; see
     :meth:`repro.network.simulator.NetworkSimulator.run`.
     """
     if data_bytes <= 0:

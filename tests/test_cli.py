@@ -83,3 +83,31 @@ class TestCommands:
     def test_unknown_model_exits(self):
         with pytest.raises(ValueError):
             main(["train", "--model", "VGG", "--dims", "2x2"])
+
+    def test_trace_export_counts(self, tmp_path, capsys):
+        """`repro trace` writes one message slice per message and one hop
+        slice per hop, with and without lockstep gates."""
+        import json
+
+        from repro.collectives import build_schedule
+        from repro.network import PacketBased
+        from repro.ni.injector import build_messages
+
+        topo = Torus2D(4, 4)
+        messages = build_messages(
+            build_schedule("dbtree", topo), 1 << 20, PacketBased()
+        )
+        hops = sum(len(msg.route) for msg in messages)
+        counts = []
+        for extra in ([], ["--no-lockstep"]):
+            path = tmp_path / ("trace%d.json" % len(counts))
+            assert main([
+                "trace", "--topology", "torus-4x4", "--algorithm", "dbtree",
+                "--size", "1MiB", "--output", str(path), *extra,
+            ]) == 0
+            assert "simulated finish time" in capsys.readouterr().out
+            events = json.loads(path.read_text())["traceEvents"]
+            phases = [event["ph"] for event in events]
+            counts.append((phases.count("b"), phases.count("X")))
+        assert counts == [(len(messages), hops)] * 2
+        assert len(messages) == 480

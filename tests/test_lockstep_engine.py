@@ -1,12 +1,12 @@
-"""Exact-equivalence battery and fallback behavior of the lockstep engine.
+"""Exact-equivalence battery and fallback behavior of the scalar core.
 
-The lockstep step-level engine (:mod:`repro.network.lockstep_engine`)
-must produce *bit-identical* results to the event engine — equal
+The lockstep step loop (:mod:`repro.network.lockstep_engine`) must
+produce *bit-identical* results to the event heap — equal
 ``finish_time``, per-message timings, ``link_busy`` and
 ``total_wire_bytes``, not merely approximately equal — on every topology
 family and algorithm, at every data size.  When it cannot guarantee that
-(non-lockstep-gated messages, processing-order overruns), it must fall
-back to the event engine rather than return divergent numbers.
+(non-lockstep-gated messages, processing-order overruns), the heap must
+answer instead rather than return divergent numbers.
 """
 
 import pytest
@@ -14,16 +14,13 @@ import pytest
 from repro.collectives import build_schedule, compile_schedule
 from repro.metrics import collecting
 from repro.network import Message, NetworkSimulator, PacketBased
-from repro.network.lockstep_engine import (
-    LinkTable,
-    link_table,
-    run_lockstep,
-)
+from repro.network.lockstep_engine import LinkTable, link_table
 from repro.ni.injector import build_messages, simulate_allreduce
 from repro.topology import BiGraph, FatTree, Mesh2D, Torus2D
 
 KiB = 1024
 MiB = 1 << 20
+ENGINES = ["event", "lockstep", "lockstep-vec"]
 
 TOPOLOGIES = [
     pytest.param(lambda: Torus2D(4, 4), id="torus"),
@@ -73,32 +70,62 @@ class TestEquivalenceBattery:
                 assert_identical(event.simulation, vec.simulation)
 
     def test_grouped_fast_path_engages(self):
-        """At serialization-dominated sizes the step-level path itself
-        (not a fallback) must produce the results — run_lockstep returns
-        a result instead of None."""
+        """At serialization-dominated sizes the step loop itself (not the
+        heap fallback) must produce the results."""
         topo = Torus2D(4, 4)
         schedule = build_schedule("ring", topo)
         fc = PacketBased()
         messages = build_messages(schedule, 10 * MiB, fc)
-        result = run_lockstep(topo, fc, messages)
-        assert result is not None
-        event = NetworkSimulator(topo, fc).run(messages)
-        assert_identical(event, result)
+        sim = NetworkSimulator(topo, fc)
+        with collecting() as registry:
+            result = sim.run(messages, engine="lockstep")
+        assert registry.counter_value(
+            "sim.engine_runs", engine="lockstep", topology=topo.name
+        ) == 1
+        assert_identical(sim.run(messages), result)
+
+    def test_engine_invariant_utilization(self):
+        """Every engine reports the same link-busy floats, so utilization
+        and the busy-time counter agree to the last bit."""
+        topo = Torus2D(6, 6)
+        schedule = build_schedule("multitree", topo)
+        seen = set()
+        for engine in ENGINES:
+            with collecting() as registry:
+                result = simulate_allreduce(schedule, MiB, engine=engine)
+            sim = result.simulation
+            counter = registry.counter_value(
+                "sim.link_busy_time", topology=topo.name, flow="packet"
+            )
+            seen.add((
+                sim.mean_link_utilization(topo),
+                sum(sim.link_busy.values()),
+                counter,
+            ))
+        assert len(seen) == 1, seen
+        (_util, busy, counter), = seen
+        assert counter == busy
 
 
 class TestFallback:
     def test_ungated_with_deps_falls_back(self):
-        """lockstep=False lowering (no gates) must reach the event engine
-        and still give identical results."""
+        """lockstep=False lowering (no gates) must reach the heap and
+        still give identical results."""
         topo = Torus2D(4, 4)
         schedule = build_schedule("multitree", topo)
         fc = PacketBased()
         messages = build_messages(schedule, 1 * MiB, fc, lockstep=False)
-        assert run_lockstep(topo, fc, messages) is None
         sim = NetworkSimulator(topo, fc)
-        assert_identical(
-            sim.run(messages), sim.run(messages, engine="lockstep")
-        )
+        with collecting() as registry:
+            stepped = sim.run(messages, engine="lockstep")
+        assert registry.counter_value(
+            "sim.fallbacks", engine="lockstep", reason="not-lockstep-gated",
+            topology=topo.name,
+        ) == 1
+        assert registry.counter_value(
+            "sim.engine_runs", engine="event", topology=topo.name
+        ) == 1
+        assert_identical(sim.run(messages), stepped)
 
     def test_fallback_counted_in_metrics(self):
         topo = Torus2D(4, 4)
@@ -140,49 +167,97 @@ class TestFallback:
         with pytest.raises(ValueError, match="unknown engine"):
             sim.run([], engine="warp")
 
-    def test_empty_messages(self):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_empty_messages(self, engine):
         sim = NetworkSimulator(Torus2D(2, 2), PacketBased())
-        res = sim.run([], engine="lockstep")
+        res = sim.run([], engine=engine)
         assert res.finish_time == 0.0
         assert res.timings == []
         assert res.link_busy == {}
+        assert res.total_wire_bytes == 0.0
 
-    def test_foreign_route_falls_back(self):
-        """A route naming a link the topology lacks is not resolvable by
-        the table-driven engine; the event engine (which looks links up
-        per hop and raises) stays the semantic reference."""
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_foreign_route_rejected(self, engine):
+        """A route naming a link the topology lacks is rejected up front,
+        with the message index and the link, on every engine."""
         topo = Torus2D(2, 2)
-        fc = PacketBased()
-        messages = [Message(0, 1, 1024.0, route=[(97, 99)])]
-        assert run_lockstep(topo, fc, messages) is None
+        messages = [
+            Message(0, 1, 1024.0, route=[(0, 1)]),
+            Message(0, 1, 1024.0, route=[(0, 1), (97, 99)]),
+        ]
+        sim = NetworkSimulator(topo, PacketBased())
+        with collecting() as registry:
+            with pytest.raises(ValueError, match=r"message 1 .*\(97, 99\)"):
+                sim.run(messages, engine=engine)
+        assert not any(
+            "unknown-link" in key for key in registry.snapshot()["counters"]
+        )
+
+    def test_compiled_step_overlap_counted(self):
+        """The compiled path records its step-loop decline like the
+        simulator does."""
+        topo = Torus2D(4, 4)
+        compiled = compile_schedule(build_schedule("dbtree", topo))
+        with collecting() as registry:
+            compiled.simulate(MiB, engine="lockstep")
+        assert registry.counter_value(
+            "sim.fallbacks", engine="lockstep", reason="step-overlap",
+            topology=topo.name,
+        ) == 1
+
+
+def assert_trace_parity(algorithm, size, lockstep):
+    """A recorder observes the same hops and completions from the lockstep
+    engine as from the event engine, whichever loop answers, and each
+    completion carries the result's own timing."""
+    from repro.trace import Trace
+
+    topo = Torus2D(4, 4)
+    schedule = build_schedule(algorithm, topo)
+    rec_event = Trace()
+    rec_lock = Trace()
+    event = simulate_allreduce(
+        schedule, size, lockstep=lockstep, recorder=rec_event
+    )
+    lock = simulate_allreduce(
+        schedule, size, lockstep=lockstep, recorder=rec_lock,
+        engine="lockstep",
+    )
+    assert_identical(event.simulation, lock.simulation)
+    key = lambda e: (e.message, e.link, e.arrive, e.grant, e.serialization)
+    assert sorted(map(key, rec_event.hops)) == sorted(map(key, rec_lock.hops))
+    assert len(rec_event.hops) == sum(
+        len(ev.route) for ev in rec_event.messages.values()
+    )
+    assert rec_event.messages.keys() == rec_lock.messages.keys()
+    assert len(rec_event.messages) == len(event.simulation.timings)
+    for rec, result in ((rec_event, event), (rec_lock, lock)):
+        for idx, ev in rec.messages.items():
+            timing = result.simulation.timings[idx]
+            assert (ev.ready, ev.inject, ev.deliver, ev.ideal_deliver) == (
+                timing.ready, timing.inject, timing.deliver,
+                timing.ideal_deliver,
+            )
+    assert rec_event.gates == rec_lock.gates
 
 
 class TestRecorderParity:
     def test_trace_identical_across_engines(self):
-        """A recorder must observe the same hops and completions from the
-        lockstep engine as from the event engine."""
-        from repro.trace import Trace
+        assert_trace_parity("ring", 10 * MiB, lockstep=True)
 
-        topo = Torus2D(4, 4)
-        schedule = build_schedule("ring", topo)
-        rec_event = Trace()
-        rec_lock = Trace()
-        event = simulate_allreduce(schedule, 10 * MiB, recorder=rec_event)
-        lock = simulate_allreduce(
-            schedule, 10 * MiB, recorder=rec_lock, engine="lockstep"
-        )
-        assert_identical(event.simulation, lock.simulation)
-        key = lambda e: (e.message, e.link, e.arrive, e.grant, e.serialization)
-        assert sorted(map(key, rec_event.hops)) == sorted(
-            map(key, rec_lock.hops)
-        )
-        assert rec_event.messages.keys() == rec_lock.messages.keys()
-        for idx, ev in rec_event.messages.items():
-            lk = rec_lock.messages[idx]
-            assert (ev.ready, ev.inject, ev.deliver, ev.ideal_deliver) == (
-                lk.ready, lk.inject, lk.deliver, lk.ideal_deliver
-            )
-        assert rec_event.gates == rec_lock.gates
+    @pytest.mark.parametrize(
+        "algorithm, lockstep",
+        [
+            ("dbtree", True),  # the step loop declines: step-overlap
+            ("multitree", False),  # not lockstep-gated: heap only
+        ],
+    )
+    def test_trace_identical_when_heap_answers(self, algorithm, lockstep):
+        with collecting() as registry:
+            assert_trace_parity(algorithm, MiB, lockstep)
+        assert registry.counter_value(
+            "sim.engine_runs", engine="event", topology="torus-4x4"
+        ) == 2
 
 
 class TestLinkTable:
