@@ -31,7 +31,10 @@ from .registry import MetricsRegistry
 #: v3: records the numpy version and the simulation engine that produced
 #: the numbers (the vectorized engine's results depend on numpy, so a
 #: drift investigation needs both pinned in the record).
-MANIFEST_SCHEMA_VERSION = 3
+#: v4: the unreasoned ``sim.lockstep_vec_fallbacks`` and
+#: ``sim.lockstep_fallbacks`` counters are gone; every engine decline is
+#: one reasoned ``sim.fallbacks{engine, reason, topology}`` record.
+MANIFEST_SCHEMA_VERSION = 4
 
 
 def repro_version() -> str:

@@ -4,10 +4,18 @@ The scalar engine in :mod:`repro.network.lockstep_engine` already walks
 lockstep-gated message sets step by step over flat CSR arrays, but still
 visits every message (and every hop) in a Python loop.  This engine
 resolves each step's per-link FIFO pass with array operations instead:
-one numpy call sequence per *hop position* per step, vectorized over the
-step's messages — and, in batched mode, over a trailing **size axis**, so
-one compiled schedule is evaluated for an entire ``LO..HI`` doubling
-range of payload sizes in a single pass (:func:`run_batch`).
+one numpy call sequence per step (per *hop position* on multi-hop
+routes), vectorized over the step's messages — and, in batched mode,
+over a trailing **size axis**, so one compiled schedule is evaluated for
+an entire ``LO..HI`` doubling range of payload sizes in a single pass
+(:func:`run_batch`).
+
+One planner serves every input.  Compiled schedules store their ops
+sorted by step, so each step is a contiguous row range of the columns,
+whatever their storage (lists, numpy arrays, lazy artifact shards);
+message lists built from a schedule keep that order in their gate
+groups.  :class:`RangePlan` validates and memoizes the ranges once per
+schedule and :func:`run_range_plan` walks them.
 
 **Exactness contract.**  The scalar lockstep engine is the oracle: when
 this engine accepts a run, every computed time is produced by the same
@@ -20,7 +28,7 @@ structural facts, each *verified* (not assumed) per run:
   read/write sets within the step, so the scalar engine's within-step
   processing order cannot influence any computed value and the hop pass
   vectorizes safely.  The check is payload-independent, so the compiled
-  path pays it once per schedule (memoized in the :class:`VecPlan`).
+  path pays it once per schedule (memoized in the :class:`RangePlan`).
 * **Clean gate boundaries.**  The scalar engine orders each step by the
   event heap's ``(ready, push_seq)`` key and declines when a step's
   earliest message sorts before the previous step's latest.  This engine
@@ -37,15 +45,16 @@ structural facts, each *verified* (not assumed) per run:
 
 When any check fails the engine declines — ``None`` from
 :func:`run_lockstep_vec`, a per-size scalar fallback in
-:func:`run_batch` — and the caller counts the fallback in metrics
-(``sim.lockstep_vec_fallbacks``); results are never silently
-approximate.  Multi-channel links (``capacity > 1``) also decline: their
-argmin channel selection is inherently order-dependent, and the scalar
-ladder handles them exactly.
+:func:`run_batch` — and records the failed gate once per decline
+(``sim.fallbacks{engine=lockstep-vec, reason=...}``); results are never
+silently approximate.  Multi-channel links (``capacity > 1``) also
+decline: their argmin channel selection is inherently order-dependent,
+and the scalar ladder handles them exactly.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,130 +75,93 @@ from .simulator import Message, SimulationResult
 _MAX_EXACT = float(2 ** 53)
 
 
-def _gather_segments(
-    off: np.ndarray, val: np.ndarray, idx: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Concatenate CSR segments ``val[off[i]:off[i+1]]`` for ``i in idx``.
+class RangePlan:
+    """Payload-independent vectorization plan over contiguous step ranges.
 
-    Returns ``(owner, values)`` where ``owner[k]`` is the position in
-    ``idx`` whose segment produced ``values[k]``; segment order follows
-    ``idx`` and order within each segment is preserved.
-    """
-    starts = off[idx]
-    counts = off[idx + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return (np.empty(0, dtype=np.intp), np.empty(0, dtype=val.dtype))
-    owner = np.repeat(np.arange(len(idx), dtype=np.intp), counts)
-    ends = np.cumsum(counts)
-    within = np.arange(total, dtype=np.intp) - np.repeat(ends - counts, counts)
-    return owner, val[np.repeat(starts, counts) + within]
+    Every compiled schedule stores its ops sorted by step, and a
+    lockstep-gated message list built from one keeps that order, so each
+    lockstep group is a contiguous index range ``[lo, hi)`` and all of
+    its hops are the slice ``link_ids[route_off[lo]:route_off[hi]]``.
+    Per-step inputs of the runner are therefore **views** of the
+    columns: a range whose routes are all one hop materializes no index
+    arrays at all, which keeps an 8k-node schedule (134M ops) inside the
+    scale-out memory envelope.  Ranges with longer routes (indirect
+    fabrics) get one memoized ``(rows, link_ids)`` selector per hop
+    position, built here once and reused by every run of the plan.
 
-
-class _StepPlan:
-    """One lockstep group, pre-resolved to hop-position gather indices."""
-
-    __slots__ = ("idx", "hops", "dep_src_pos", "dep_dst")
-
-    def __init__(self, idx, hops, dep_src_pos, dep_dst) -> None:
-        self.idx = idx            # (m,) message indices of the step
-        self.hops = hops          # [(sel, li)] per hop position
-        self.dep_src_pos = dep_src_pos  # positions into idx, per dep edge
-        self.dep_dst = dep_dst    # waiting message index, per dep edge
-
-
-class VecPlan:
-    """Payload-independent vectorization plan for one grouped message set.
-
-    Built once from the CSR arrays (and memoized by the compiled-schedule
-    path); ``ok`` is False when some step is not link-disjoint or touches
-    a multi-channel link, in which case the vectorized engine must
-    decline the whole run.
+    ``ok`` is False when some range is not link-disjoint, touches a
+    multi-channel link, or the layout is not range-plannable (columns
+    not sorted by step, a dependency that does not point into an earlier
+    range); ``reason`` names the gate, and the caller falls back to the
+    scalar ladder, which is always exact.
     """
 
-    __slots__ = ("ok", "reason", "steps", "num_messages", "num_links",
-                 "route_len")
+    __slots__ = ("ok", "reason", "ranges", "route_off", "link_ids",
+                 "dep_off", "dep_val")
 
     def __init__(
         self,
-        groups: Sequence[Sequence[int]],
+        bounds: Optional[Sequence[Tuple[int, int]]],
         route_off: np.ndarray,
-        route_val: np.ndarray,
-        dd_off: np.ndarray,
-        dd_val: np.ndarray,
+        link_ids: np.ndarray,
+        dep_off: np.ndarray,
+        dep_val: np.ndarray,
         capacity: np.ndarray,
     ) -> None:
-        n = len(route_off) - 1
-        self.num_messages = n
-        self.num_links = len(capacity)
-        self.route_len = route_off[1:] - route_off[:-1]
-        self.steps: List[_StepPlan] = []
-        self.ok = True
+        self.route_off = route_off
+        self.link_ids = link_ids
+        self.dep_off = dep_off
+        self.dep_val = dep_val
+        #: ``(lo, hi, hops)`` per non-empty step; ``hops`` is ``None``
+        #: when every route of the range is exactly one hop.
+        self.ranges: List[Tuple[int, int, Optional[list]]] = []
+        self.ok = False
         #: The validation gate that failed when ``ok`` is False — the
         #: structured fallback reason reported instead of a bare count.
-        self.reason: Optional[str] = None
-        for group in groups:
-            if not len(group):
-                continue
-            idx = np.asarray(group, dtype=np.intp)
-            rlen = self.route_len[idx]
-            starts = route_off[idx]
-            hops = []
-            seen = 0
-            for h in range(int(rlen.max()) if len(rlen) else 0):
-                sel = np.flatnonzero(rlen > h)
-                li = route_val[starts[sel] + h]
-                hops.append((sel, li))
-                seen += len(li)
+        self.reason: Optional[str] = "plan" if bounds is None else None
+        for lo, hi in bounds or ():
+            r0 = int(route_off[lo])
+            r1 = int(route_off[hi])
+            li = link_ids[r0:r1]
             # Link-disjointness across the whole step (all hop positions
             # of all messages): any repeated dense link id means FIFO
             # state interacts within the step and order matters.
-            if hops:
-                cat = np.concatenate([li for _sel, li in hops])
-                if len(np.unique(cat)) != seen:
-                    self.ok = False
-                    self.reason = "link-disjointness"
-                    return
-                if (capacity[cat] != 1).any():
-                    self.ok = False  # argmin channel pools: scalar only
-                    self.reason = "multi-channel"
-                    return
-            dep_src_pos, dep_dst = _gather_segments(dd_off, dd_val, idx)
-            self.steps.append(_StepPlan(idx, hops, dep_src_pos, dep_dst))
+            if len(np.unique(li)) != r1 - r0:
+                self.reason = "link-disjointness"
+                return
+            if (capacity[li] != 1).any():
+                self.reason = "multi-channel"  # argmin channel pools
+                return
+            dv = dep_val[dep_off[lo]:dep_off[hi]]
+            if len(dv) and int(dv.max()) >= lo:
+                # The pull-model wake in run_range_plan reads delivery
+                # times of earlier ranges only.
+                self.reason = "plan"
+                return
+            rlen = np.diff(route_off[lo:hi + 1])
+            hops = None
+            if (rlen != 1).any():
+                starts = route_off[lo:hi]
+                hops = []
+                for h in range(int(rlen.max())):
+                    sel = np.flatnonzero(rlen > h)
+                    hops.append((sel, link_ids[starts[sel] + h]))
+            self.ranges.append((lo, hi, hops))
+        self.ok = self.reason is None
 
     def class_hops(self, frac_idx: np.ndarray, num_classes: int) -> np.ndarray:
         """Total hop count per wire class."""
-        if getattr(frac_idx, "strides", None) == (0,):
+        if frac_idx.strides == (0,) and len(frac_idx):
             out = np.zeros(num_classes, dtype=np.float64)
-            out[int(frac_idx[0])] = float(np.sum(self.route_len))
+            out[int(frac_idx[0])] = float(self.route_off[-1])
             return out
         return np.bincount(
-            frac_idx, weights=self.route_len, minlength=num_classes
+            frac_idx, weights=np.diff(self.route_off), minlength=num_classes
         )
 
 
-def build_plan(
-    groups: Sequence[Sequence[int]],
-    route_off: Sequence[int],
-    route_val: Sequence[int],
-    dep_struct,
-    table: LinkTable,
-) -> VecPlan:
-    """Build a :class:`VecPlan` from the scalar engines' CSR inputs."""
-    dd_off, dd_val, _counts = dep_struct
-    _bw, _lat, capacity = table.arrays()
-    return VecPlan(
-        groups,
-        np.asarray(route_off, dtype=np.intp),
-        np.asarray(route_val, dtype=np.intp),
-        np.asarray(dd_off, dtype=np.intp),
-        np.asarray(dd_val, dtype=np.intp),
-        capacity,
-    )
-
-
-def run_plan(
-    plan: VecPlan,
+def run_range_plan(
+    plan: RangePlan,
     table: LinkTable,
     wire_table: np.ndarray,
     wire_idx: np.ndarray,
@@ -206,6 +178,14 @@ def run_plan(
     final per-message ready times.  ``overhead`` is the per-message
     receive overhead.
 
+    Dependencies wake by *pull*: each range first raises its rows' ready
+    times to the segmented maximum of their dependencies' delivery times
+    plus overhead.  Rounding is monotonic, so ``max(a, b) + o`` equals
+    the scalar engine's ``max(a + o, b + o)`` exactly.  With
+    ``keep_timings`` off, one ``(num_messages, sizes)`` matrix carries
+    ready-then-delivery values in place — the dominant allocation at
+    8k-node scale.
+
     Returns ``(valid, finish, busy, qmax, timings)`` where ``valid`` is
     the per-size acceptance mask (sizes failing a gate-boundary check
     carry garbage in the other outputs and must fall back to the scalar
@@ -216,166 +196,7 @@ def run_plan(
     """
     n, num_sizes = ready.shape
     bw, lat, _cap = table.arrays()
-    avail = np.zeros((plan.num_links, num_sizes), dtype=np.float64)
-    busy = np.zeros((plan.num_links, num_sizes), dtype=np.float64)
-    finish = np.zeros(num_sizes, dtype=np.float64)
-    qmax = np.full(num_sizes, -np.inf, dtype=np.float64)
-    valid = np.ones(num_sizes, dtype=bool)
-    prev_max = np.full(num_sizes, -np.inf, dtype=np.float64)
-    if keep_timings:
-        inject_m = np.zeros((n, num_sizes), dtype=np.float64)
-        deliver_m = np.zeros((n, num_sizes), dtype=np.float64)
-        ideal_m = np.zeros((n, num_sizes), dtype=np.float64)
-
-    for step in plan.steps:
-        idx = step.idx
-        rd = ready[idx]
-        # Gate-boundary verification, per size: the scalar engine declines
-        # when a step's earliest (ready, push_seq) sorts at or before the
-        # previous step's latest; without push sequences, ties decline too.
-        valid &= rd.min(axis=0) > prev_max
-        prev_max = rd.max(axis=0)
-
-        m = len(idx)
-        head = rd.copy()
-        inject = rd.copy()          # zero-hop messages inject at ready
-        cur_ser = np.zeros((m, num_sizes), dtype=np.float64)
-        max_ser = np.zeros((m, num_sizes), dtype=np.float64)
-        lat_sum = np.zeros(m, dtype=np.float64)  # payload-independent
-        wire_step = wire_table[wire_idx[idx]]
-        for h, (sel, li) in enumerate(step.hops):
-            ser = wire_step[sel] / bw[li][:, None]
-            grant = np.maximum(head[sel], avail[li])
-            avail[li] = grant + ser
-            busy[li] += ser
-            if h == 0:
-                inject[sel] = grant
-            head[sel] = grant + lat[li][:, None]
-            lat_sum[sel] += lat[li]
-            max_ser[sel] = np.maximum(max_ser[sel], ser)
-            cur_ser[sel] = ser
-        deliver = head + cur_ser
-        ideal = rd + lat_sum[:, None] + max_ser
-
-        finish = np.maximum(finish, deliver.max(axis=0))
-        qmax = np.maximum(qmax, (deliver - ideal).max(axis=0))
-        if keep_timings:
-            inject_m[idx] = inject
-            deliver_m[idx] = deliver
-            ideal_m[idx] = ideal
-        if len(step.dep_dst):
-            wake = deliver[step.dep_src_pos] + overhead[step.dep_dst][:, None]
-            np.maximum.at(ready, step.dep_dst, wake)
-
-    timings = (inject_m, deliver_m, ideal_m) if keep_timings else None
-    return valid, finish, busy, qmax, timings
-
-
-class RangePlan:
-    """Zero-copy vectorization plan for streaming-compiled schedules.
-
-    A streaming-compiled :class:`CompiledSchedule` stores its ops sorted
-    by step in numpy columns, so each lockstep group is a *contiguous
-    index range* and every per-step input of the vectorized engine is a
-    **view** of the compiled columns — no per-step index/selector/dep
-    arrays are materialized, which is what keeps an 8k-node schedule
-    (134M ops) inside the scale-out memory envelope where
-    :class:`VecPlan`'s gathered arrays alone would cost several GiB.
-
-    Restricted to single-hop routes (direct networks) with dependencies
-    that point strictly backward across the step ranges; anything else
-    declines with a reason and the caller falls back to the generic
-    plan or the scalar ladder, exactly like :class:`VecPlan`.
-    """
-
-    __slots__ = ("ok", "reason", "ranges", "num_messages", "num_links",
-                 "link_ids", "dep_off", "dep_val")
-
-    def __init__(self, compiled, table: LinkTable) -> None:
-        steps = np.asarray(compiled.steps)
-        n = len(steps)
-        self.num_messages = n
-        self.num_links = len(table.keys)
-        self.ok = False
-        self.reason: Optional[str] = None
-        self.ranges: List[Tuple[int, int, int]] = []
-        self.link_ids = None
-        self.dep_off = None
-        self.dep_val = None
-        try:
-            remap = np.asarray(
-                [table.id_of[key] for key in compiled.links], dtype=np.intp
-            )
-        except KeyError:
-            self.reason = "unknown-link"
-            return
-        link_ids = remap[np.asarray(compiled.route_val)]
-        dep_off = np.asarray(compiled.dep_off)
-        dep_val = np.asarray(compiled.dep_val)
-        _bw, _lat, capacity = table.arrays()
-        # Contiguous step ranges over the sorted steps column.
-        bounds = np.searchsorted(
-            steps, np.arange(1, compiled.num_steps + 2), side="left"
-        )
-        for step in range(1, compiled.num_steps + 1):
-            lo = int(bounds[step - 1])
-            hi = int(bounds[step])
-            if lo == hi:
-                continue
-            li = link_ids[lo:hi]
-            if len(np.unique(li)) != hi - lo:
-                self.reason = "link-disjointness"
-                return
-            if (capacity[li] != 1).any():
-                self.reason = "multi-channel"
-                return
-            dv = dep_val[dep_off[lo]:dep_off[hi]]
-            if len(dv) and int(dv.max()) >= lo:
-                # A dependency inside (or ahead of) its own step: the
-                # pull-model wake below would read a not-yet-delivered
-                # row, so this layout is not range-plannable.
-                self.reason = "step-overlap"
-                return
-            self.ranges.append((step, lo, hi))
-        self.link_ids = link_ids
-        self.dep_off = dep_off
-        self.dep_val = dep_val
-        self.ok = True
-
-    def class_hops(self, frac_idx: np.ndarray, num_classes: int) -> np.ndarray:
-        """Total hop count per wire class (every route has one hop)."""
-        if getattr(frac_idx, "strides", None) == (0,):
-            out = np.zeros(num_classes, dtype=np.float64)
-            out[int(frac_idx[0])] = float(self.num_messages)
-            return out
-        return np.bincount(
-            frac_idx, minlength=num_classes
-        ).astype(np.float64)
-
-
-def run_range_plan(
-    plan: RangePlan,
-    table: LinkTable,
-    wire_table: np.ndarray,
-    wire_idx: np.ndarray,
-    ready: np.ndarray,
-    overhead: np.ndarray,
-    keep_timings: bool,
-):
-    """:func:`run_plan` over contiguous step ranges, in column views.
-
-    Bit-identical outcomes: the arithmetic per step is the same ops in
-    the same order; the only difference is *pull*-model dependency
-    wake-up (each step gathers its own deps' delivery times via a
-    segmented maximum) instead of run_plan's push-model scatter, which
-    computes the identical maxima because every dependency points to a
-    strictly earlier range.  With ``keep_timings`` off, one
-    ``(num_messages, sizes)`` matrix carries ready-then-delivery values
-    in place — the dominant allocation at 8k-node scale.
-    """
-    n, num_sizes = ready.shape
-    bw, lat, _cap = table.arrays()
-    avail = np.zeros((plan.num_links, num_sizes), dtype=np.float64)
+    avail = np.zeros((len(bw), num_sizes), dtype=np.float64)
     busy = np.zeros_like(avail)
     finish = np.zeros(num_sizes, dtype=np.float64)
     qmax = np.full(num_sizes, -np.inf, dtype=np.float64)
@@ -383,6 +204,7 @@ def run_range_plan(
     prev_max = np.full(num_sizes, -np.inf, dtype=np.float64)
     dep_off = plan.dep_off
     dep_val = plan.dep_val
+    route_off = plan.route_off
     link_ids = plan.link_ids
     if keep_timings:
         deliver_all = np.zeros((n, num_sizes), dtype=np.float64)
@@ -391,7 +213,7 @@ def run_range_plan(
     else:
         deliver_all = ready  # rows become delivery times once processed
 
-    for _step, lo, hi in plan.ranges:
+    for lo, hi, hops in plan.ranges:
         # Dependency wake-up (pull model): row i's ready time is the max
         # of its gate and its deps' delivery times plus overhead.
         d0 = int(dep_off[lo])
@@ -408,25 +230,47 @@ def run_range_plan(
             wake = red[has] + overhead[lo:hi][has][:, None]
             ready[rows] = np.maximum(ready[rows], wake)
         rd = ready[lo:hi]
+        # Gate-boundary verification, per size: the scalar engine declines
+        # when a step's earliest (ready, push_seq) sorts at or before the
+        # previous step's latest; without push sequences, ties decline too.
         valid &= rd.min(axis=0) > prev_max
         prev_max = rd.max(axis=0)
 
-        li = link_ids[lo:hi]
-        ser = wire_table[wire_idx[lo:hi]] / bw[li][:, None]
-        grant = np.maximum(rd, avail[li])
-        avail[li] = grant + ser
-        busy[li] += ser
-        head = grant + lat[li][:, None]
-        deliver = head + ser
-        ideal = rd + lat[li][:, None] + ser
+        wire_rows = wire_table[wire_idx[lo:hi]]
+        if hops is None:
+            li = link_ids[route_off[lo]:route_off[hi]]
+            link_lat = lat[li][:, None]
+            ser = wire_rows / bw[li][:, None]
+            inject = np.maximum(rd, avail[li])
+            avail[li] = inject + ser
+            busy[li] += ser
+            deliver = inject + link_lat + ser
+            ideal = rd + link_lat + ser
+        else:
+            head = rd.copy()
+            inject = rd.copy()      # zero-hop messages inject at ready
+            cur_ser = np.zeros((hi - lo, num_sizes), dtype=np.float64)
+            max_ser = np.zeros((hi - lo, num_sizes), dtype=np.float64)
+            lat_sum = np.zeros(hi - lo, dtype=np.float64)
+            for h, (sel, li) in enumerate(hops):
+                ser = wire_rows[sel] / bw[li][:, None]
+                grant = np.maximum(head[sel], avail[li])
+                avail[li] = grant + ser
+                busy[li] += ser
+                if h == 0:
+                    inject[sel] = grant
+                head[sel] = grant + lat[li][:, None]
+                lat_sum[sel] += lat[li]
+                max_ser[sel] = np.maximum(max_ser[sel], ser)
+                cur_ser[sel] = ser
+            deliver = head + cur_ser
+            ideal = rd + lat_sum[:, None] + max_ser
         finish = np.maximum(finish, deliver.max(axis=0))
         qmax = np.maximum(qmax, (deliver - ideal).max(axis=0))
+        deliver_all[lo:hi] = deliver
         if keep_timings:
-            inject_m[lo:hi] = grant
-            deliver_all[lo:hi] = deliver
+            inject_m[lo:hi] = inject
             ideal_m[lo:hi] = ideal
-        else:
-            deliver_all[lo:hi] = deliver
 
     timings = (
         (inject_m, deliver_all, ideal_m) if keep_timings else None
@@ -559,9 +403,9 @@ def run_batch(
     injection/delivery arithmetic instead of re-walking the schedule per
     size.  Sizes the vectorized engine cannot prove exact fall back to
     the scalar engine ladder individually — each :class:`BatchPoint`
-    records the engine that produced it, the count lands in
-    ``BatchResult.fallbacks`` and the ``sim.lockstep_vec_fallbacks``
-    metric, and every returned number is bit-identical to a scalar
+    records the engine that produced it and the gate that declined it,
+    the count lands in ``BatchResult.fallbacks`` and one
+    ``sim.fallbacks`` record per size, and every returned number is bit-identical to a scalar
     ``simulate(size, engine="lockstep")`` call either way.
     """
     with obs.span(
@@ -596,9 +440,7 @@ def _run_batch(
     if any(size <= 0 for size in sizes):
         raise ValueError("data_bytes must be positive")
 
-    plan = None
-    if lockstep:
-        plan = _compiled_plan(compiled)
+    plan = _compiled_plan(compiled) if lockstep else None
     num_sizes = len(sizes)
     valid = np.zeros(num_sizes, dtype=bool)
     gate_valid = exact_mask = None
@@ -607,17 +449,13 @@ def _run_batch(
 
     # Why every size (or some sizes) left the vectorized engine: a
     # whole-batch decline reason, or per-size gate/wire masks below.
-    if not lockstep:
+    if plan is None:
         decline_reason: Optional[str] = "not-lockstep-gated"
-    elif plan is None:
-        decline_reason = "unknown-link"
-    elif not plan.ok:
-        decline_reason = plan.reason or "plan"
     else:
-        decline_reason = None
+        decline_reason = plan.reason
 
-    if plan is not None and plan.ok:
-        frac_uniq, frac_idx = _compiled_wire_classes(compiled)
+    if decline_reason is None:
+        frac_uniq, frac_idx = compiled.frac_classes()
         sizes_arr = np.asarray(sizes, dtype=np.float64)
         # frac * data_bytes: the same IEEE multiply the scalar path does.
         payload_table = frac_uniq[:, None] * sizes_arr[None, :]
@@ -635,10 +473,9 @@ def _run_batch(
         # Read-only broadcast: at 8k-node scale a materialized per-op
         # overhead vector is pure waste (the value is one scalar).
         overhead = np.broadcast_to(
-            np.float64(scheduling_overhead), (plan.num_messages,)
+            np.float64(scheduling_overhead), (len(steps_arr),)
         )
-        runner = run_range_plan if isinstance(plan, RangePlan) else run_plan
-        valid, finish, busy, qmax, timings = runner(
+        valid, finish, busy, qmax, timings = run_range_plan(
             plan, table, wire, frac_idx, ready, overhead,
             keep_timings=keep_timings,
         )
@@ -700,87 +537,88 @@ def _run_batch(
                 results.append(outcome)
         points.append(point)
 
-    if registry is not None:
-        ran = num_sizes - fallbacks
-        if ran:
-            registry.counter(
-                "sim.engine_runs", engine="lockstep-vec", topology=topo
-            ).inc(ran)
-        if fallbacks:
-            registry.counter("sim.lockstep_vec_fallbacks", topology=topo).inc(
-                fallbacks
-            )
+    ran = num_sizes - fallbacks
+    if registry is not None and ran:
+        registry.counter(
+            "sim.engine_runs", engine="lockstep-vec", topology=topo
+        ).inc(ran)
     return BatchResult(
         sizes, points, fallbacks, results if keep_timings else None
     )
 
 
-def _is_array_column(col) -> bool:
-    """Column stored as (or lazily materializing to) a numpy array."""
-    return not isinstance(col, list) and (
-        isinstance(col, np.ndarray) or hasattr(col, "__array__")
-    )
+def _int_column(col) -> np.ndarray:
+    """A compiled column as an integer array (no copy when it is one)."""
+    arr = np.asarray(col)
+    return arr if arr.dtype.kind in "iu" else arr.astype(np.intp)
 
 
-def _try_range_plan(compiled, table: LinkTable) -> Optional[RangePlan]:
-    """A :class:`RangePlan` when the schedule has the streaming layout.
-
-    Qualification is structural — numpy columns, single-hop routes, ops
-    sorted by step — so it holds for streaming-compiled and
-    artifact-loaded schedules without any metadata marker (metadata must
-    stay dict-equal to the object-path compiler).  ``None`` means the
-    layout does not qualify and the generic :class:`VecPlan` path should
-    be used instead; a returned plan with ``ok=False`` is a genuine
-    decline (the scalar ladder takes over, which is always exact).
-    """
-    cols = (compiled.steps, compiled.route_off, compiled.route_val,
-            compiled.dep_off, compiled.dep_val)
-    if not all(_is_array_column(col) for col in cols):
+def _step_bounds(steps: np.ndarray, num_steps: int):
+    """``[lo, hi)`` row range per non-empty step, or ``None`` if unsorted."""
+    bounds = np.searchsorted(steps, np.arange(1, num_steps + 2), side="left")
+    if int(bounds[0]) != 0 or int(bounds[-1]) != len(steps):
         return None
-    steps = np.asarray(compiled.steps)
-    if not len(steps):
-        return None
-    route_off = np.asarray(compiled.route_off)
-    if int(route_off[-1]) != len(steps):
-        return None  # multi-hop routes: the generic plan gathers those
-    if (np.diff(steps) < 0).any():
-        return None
-    return RangePlan(compiled, table)
+    ranges = []
+    for step in range(1, num_steps + 1):
+        lo = int(bounds[step - 1])
+        hi = int(bounds[step])
+        if lo == hi:
+            continue
+        if (steps[lo:hi] != step).any():
+            return None
+        ranges.append((lo, hi))
+    return ranges
 
 
-def _compiled_plan(compiled):
-    """The memoized vectorization plan of a compiled schedule.
+def _compiled_plan(compiled) -> RangePlan:
+    """The memoized :class:`RangePlan` of a compiled schedule.
 
-    A :class:`RangePlan` for streaming-layout schedules, a
-    :class:`VecPlan` otherwise.  Returns ``None`` (and memoizes the
-    decline) when a route uses a link the topology does not declare.
+    Built from the columns as stored — plain lists from
+    :func:`repro.collectives.compiled.compile_schedule`, numpy arrays
+    from the streaming compiler, lazy shard columns from an artifact —
+    and identical for all of them.
     """
     plan = compiled._vec_plan
     if plan is None:
         table = link_table(compiled.topology)
-        plan = _try_range_plan(compiled, table)
-        if plan is None:
-            try:
-                route_val = compiled._table_route_val(table)
-            except KeyError:
-                compiled._vec_plan = False
-                return None
-            dep_struct = compiled._dep_struct
-            if dep_struct is None:
-                dep_struct = compiled._dep_struct = dep_structure(
-                    compiled.dep_off, compiled.dep_val
-                )
-            plan = build_plan(
-                compiled._step_groups(), compiled.route_off, route_val,
-                dep_struct, table,
-            )
-        compiled._vec_plan = plan
-    return plan if plan is not False else None
+        remap = np.asarray(
+            [table.id_of[key] for key in compiled.links], dtype=np.intp
+        )
+        plan = compiled._vec_plan = RangePlan(
+            _step_bounds(_int_column(compiled.steps), compiled.num_steps),
+            _int_column(compiled.route_off),
+            remap[_int_column(compiled.route_val)],
+            _int_column(compiled.dep_off),
+            _int_column(compiled.dep_val),
+            table.arrays()[2],
+        )
+    return plan
 
 
-def _compiled_wire_classes(compiled) -> Tuple[np.ndarray, np.ndarray]:
-    """Unique chunk fractions and each message's class index, memoized."""
-    return compiled.frac_classes()
+def _message_plan(lowering: Lowering, table: LinkTable) -> RangePlan:
+    """The :class:`RangePlan` of a lockstep-gated message lowering.
+
+    The gate groups are contiguous index ranges for every message list
+    built from a schedule; any other order declines with ``plan``.
+    """
+    groups = lowering.groups
+    n = len(lowering.payloads)
+    order = np.fromiter(chain.from_iterable(groups), np.intp)
+    bounds = None
+    if np.array_equal(order, np.arange(n)):
+        ends = np.cumsum([len(group) for group in groups]).tolist()
+        bounds = [(lo, hi) for lo, hi in zip([0] + ends[:-1], ends) if hi > lo]
+    # Inverting the dependents CSR gives each message's own dependencies.
+    dd_off, dd_val, _counts = lowering.dep_struct
+    dep_off, dep_val, _ = dep_structure(dd_off, dd_val)
+    return RangePlan(
+        bounds,
+        np.asarray(lowering.route_off, dtype=np.intp),
+        np.asarray(lowering.route_val, dtype=np.intp),
+        np.asarray(dep_off, dtype=np.intp),
+        np.asarray(dep_val, dtype=np.intp),
+        table.arrays()[2],
+    )
 
 
 def run_lockstep_vec(
@@ -806,35 +644,28 @@ def run_lockstep_vec(
     table = link_table(topology)
     if lowering is None:
         lowering = lower_messages(table, messages)
-    groups = lowering.groups
-    if groups is None:
+    if lowering.groups is None:
         obs.record_fallback(
             "lockstep-vec", "not-lockstep-gated", topology=topo
         )
         return None
-    plan = build_plan(
-        groups, lowering.route_off, lowering.route_val, lowering.dep_struct,
-        table,
-    )
+    plan = _message_plan(lowering, table)
     if not plan.ok:
-        obs.record_fallback(
-            "lockstep-vec", plan.reason or "plan", topology=topo
-        )
+        obs.record_fallback("lockstep-vec", plan.reason, topology=topo)
         return None
 
     payloads = np.asarray(lowering.payloads, dtype=np.float64)
     uniq, wire_idx = np.unique(payloads, return_inverse=True)
     wire, exact = wire_classes(flow_control, uniq[:, None])
-    hops_per_class = np.bincount(
-        wire_idx, weights=plan.route_len, minlength=len(uniq)
+    totals, exact = exact_wire_totals(
+        wire, exact, plan.class_hops(wire_idx, len(uniq))
     )
-    totals, exact = exact_wire_totals(wire, exact, hops_per_class)
     if not exact[0]:
         obs.record_fallback("lockstep-vec", "wire-total", topology=topo)
         return None
     ready = np.asarray(lowering.not_before, dtype=np.float64)[:, None]
     overhead = np.asarray(lowering.receive_overhead, dtype=np.float64)
-    valid, finish, busy, qmax, timings = run_plan(
+    valid, finish, busy, qmax, timings = run_range_plan(
         plan, table, wire, wire_idx.astype(np.intp), ready, overhead,
         keep_timings=True,
     )

@@ -174,15 +174,15 @@ class NetworkSimulator:
           Results are bit-identical to the heap; when the message set is
           not lockstep-gated (or deliveries overrun a later gate enough
           to reorder processing across steps) the heap answers instead,
-          and ``sim.lockstep_fallbacks`` counts it.
+          and ``sim.fallbacks{engine=lockstep}`` records why.
         * ``"lockstep-vec"`` — the numpy-vectorized engine of
           :mod:`repro.network.lockstep_vec`, which resolves each step's
           per-link FIFO pass with array ops.  Results are bit-identical
           when the engine accepts the message set (link-disjoint steps,
           clean gate boundaries); otherwise it declines and the run falls
           down the ladder to ``"lockstep"`` and then ``"event"``, with
-          each decline counted (``sim.lockstep_vec_fallbacks`` /
-          ``sim.lockstep_fallbacks``), never silent.
+          each decline recorded once with its reason
+          (``sim.fallbacks{engine, reason, topology}``), never silent.
 
         ``sim.engine_runs{engine=...}`` records the rung that answered.
         """
@@ -227,10 +227,6 @@ class NetworkSimulator:
                 rung.set("accepted", result is not None)
             resolved = "lockstep-vec"
             if result is None:
-                if registry is not None:
-                    registry.counter(
-                        "sim.lockstep_vec_fallbacks", topology=topo
-                    ).inc()
                 engine = "lockstep"  # next rung of the fallback ladder
         if result is None:
             groups = None
@@ -244,8 +240,6 @@ class NetworkSimulator:
                 table, self.flow_control, lowering, groups, recorder,
                 messages, topo,
             )
-            if registry is not None and resolved != engine:
-                registry.counter("sim.lockstep_fallbacks", topology=topo).inc()
         if registry is not None:
             registry.counter(
                 "sim.engine_runs", engine=resolved, topology=topo

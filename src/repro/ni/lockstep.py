@@ -30,20 +30,31 @@ def _ser_profile(schedule: Schedule):
     (first-occurrence order preserved), and cached on the schedule.
     Estimating a new data size then costs one serialization computation
     per distinct triple instead of one per op.
+
+    This is the first lookup of every route link on both the simulation
+    and the compile path: a link the topology does not declare raises
+    ``ValueError`` naming the op index and the link.
     """
     profile = schedule.__dict__.get("_ser_profile")
     if profile is None:
         topo = schedule.topology
         seen = set()
         profile = []
-        for op, route in zip(schedule.ops, schedule.op_routes()):
-            if not route:
-                continue
-            bandwidth = min(topo.link(*key).bandwidth for key in route)
-            entry = (op.step, bandwidth, op.chunk.fraction)
-            if entry not in seen:
-                seen.add(entry)
-                profile.append(entry)
+        routes = schedule.op_routes()
+        try:
+            for idx, (op, route) in enumerate(zip(schedule.ops, routes)):
+                if not route:
+                    continue
+                bandwidth = min(topo.link(*key).bandwidth for key in route)
+                entry = (op.step, bandwidth, op.chunk.fraction)
+                if entry not in seen:
+                    seen.add(entry)
+                    profile.append(entry)
+        except KeyError as exc:
+            raise ValueError(
+                "op %d routes over link %r, which the topology does not "
+                "declare" % (idx, exc.args[0])
+            ) from None
         schedule.__dict__["_ser_profile"] = profile
     return profile
 

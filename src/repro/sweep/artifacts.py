@@ -20,13 +20,12 @@ vectorized engine never materializes the columns it does not touch
 a 134M-op schedule would be tens of GiB of text; the shards are the raw
 little-endian arrays.
 
-**Legacy tier.**  Single-file JSON artifacts written by earlier versions
-(``{"schema": ..., "key": ..., "compiled": {...}}``) still load, counted
-separately (``legacy_hits`` / the ``artifact.legacy_hits`` metric), so a
-warm store survives the format change.  Any unreadable, truncated,
-checksum-mismatched, or wrong-topology artifact counts as a **miss with
-a reason** (the ``sim.fallbacks``-style ``artifact`` engine counter) —
-never an exception: the store is a cache, not a source of truth.
+Any unreadable, truncated, checksum-mismatched, wrong-format (including
+the single-file JSON artifacts of earlier versions) or wrong-topology
+artifact counts as a **miss with a reason** (the ``sim.fallbacks``-style
+``artifact`` engine counter) — never an exception: the store is a cache,
+not a source of truth, and :meth:`ArtifactStore.get_or_compile`
+overwrites the stale file.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ from ..metrics.registry import get_registry
 from ..scenario import ARTIFACT_SCHEMA_VERSION, artifact_fingerprint
 from ..topology.base import Topology, topology_fingerprint
 
-#: Marker distinguishing sharded headers from legacy single-file JSON.
+#: Format marker of a sharded header; any other header reads as a miss.
 ARTIFACT_FORMAT = "repro-artifact-sharded-v2"
 
 #: Environment override for the in-process memo capacity.
@@ -169,8 +168,6 @@ class ArtifactStore:
         self.root = root
         self.hits = 0
         self.misses = 0
-        #: Loads served by the legacy single-file JSON tier.
-        self.legacy_hits = 0
         if memo_capacity is None:
             try:
                 memo_capacity = int(
@@ -218,7 +215,7 @@ class ArtifactStore:
                 span.set("outcome", "memo-hit")
                 return self._count_hit(topology, algorithm, memoized, key,
                                        memoize=False)
-            compiled, tier, reason = self._load(key, topology)
+            compiled, reason = self._load(key, topology)
             if compiled is None:
                 span.set("outcome", "miss")
                 span.set("reason", reason)
@@ -234,15 +231,7 @@ class ArtifactStore:
                         algorithm=algorithm,
                     ).inc()
                 return None
-            span.set("outcome", tier)
-            if tier == "legacy-hit":
-                self.legacy_hits += 1
-                registry = get_registry()
-                if registry is not None:
-                    registry.counter(
-                        "artifact.legacy_hits", topology=topology.name,
-                        algorithm=algorithm,
-                    ).inc()
+            span.set("outcome", "hit")
             return self._count_hit(topology, algorithm, compiled, key)
 
     def _count_hit(self, topology, algorithm, compiled, key, memoize=True):
@@ -257,34 +246,24 @@ class ArtifactStore:
         return compiled
 
     def _load(self, key: str, topology: Topology):
-        """``(compiled, tier, miss_reason)`` for one on-disk artifact."""
+        """``(compiled, miss_reason)`` for one on-disk artifact."""
         try:
             with open(self._path(key)) as fh:
                 payload = json.load(fh)
         except OSError:
-            return None, None, "absent"
+            return None, "absent"
         except ValueError:
-            return None, None, "header-corrupt"
+            return None, "header-corrupt"
         if not isinstance(payload, dict) or payload.get("key") != key:
-            return None, None, "key-mismatch"
-        if "compiled" in payload:
-            # Legacy tier: the whole compiled form inline as JSON.
-            try:
-                compiled = CompiledSchedule.from_dict(
-                    payload.get("compiled", {}), topology
-                )
-            except (ValueError, KeyError, TypeError, IndexError):
-                return None, None, "decode-error"
-            return compiled, "legacy-hit", None
+            return None, "key-mismatch"
         if payload.get("format") != ARTIFACT_FORMAT:
-            return None, None, "format-mismatch"
+            return None, "format-mismatch"
         try:
-            compiled = self._load_sharded(payload, topology)
+            return self._load_sharded(payload, topology), None
         except _ShardError as exc:
-            return None, None, exc.reason
+            return None, exc.reason
         except (ValueError, KeyError, TypeError, IndexError, OSError):
-            return None, None, "decode-error"
-        return compiled, "hit", None
+            return None, "decode-error"
 
     def _load_sharded(
         self, header: Dict[str, object], topology: Topology

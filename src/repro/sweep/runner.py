@@ -228,8 +228,10 @@ def sweep_bandwidth_cached(
     and the cache is filled for the whole batch from that single
     simulation; warm sizes are still served from the cache, and sizes
     the vectorized engine declines are simulated by the scalar ladder
-    inside the batch (counted in ``sim.lockstep_vec_fallbacks``) — the
-    cached numbers are bit-identical either way.
+    inside the batch (one ``sim.fallbacks{engine=lockstep-vec}`` record
+    per size, with its reason) — the cached numbers are bit-identical
+    either way, and the same whether the schedule was compiled cold or
+    loaded from an artifact.
     """
     sweep = BandwidthSweep(
         topology=schedule.topology.name,

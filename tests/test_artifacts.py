@@ -180,7 +180,7 @@ class TestShardedArtifacts:
     """Shard-granularity corruption: every failure is a *counted miss*.
 
     The store must never raise for on-disk damage — a truncated shard, a
-    flipped byte, a missing file, a stale legacy blob all degrade to a
+    flipped byte, a missing file, a stale single-file blob all degrade to a
     recompile, each attributed to a reason in the ``sim.fallbacks``-style
     ``artifact`` counter.
     """
@@ -265,9 +265,12 @@ class TestShardedArtifacts:
         assert store.misses == 1
         assert any("shard-missing" in key for key in reasons)
 
-    def test_legacy_json_artifact_loads_as_counted_tier(self, tmp_path):
+    def test_legacy_json_artifact_is_a_format_miss_then_rewritten(
+        self, tmp_path
+    ):
         _store, topo, compiled = self._warm(tmp_path)
-        # Rewrite the artifact as the legacy single-file JSON form.
+        # Rewrite the artifact as the single-file JSON form of earlier
+        # versions: no longer loadable, a counted miss, then replaced.
         key = artifact_key(topo, "ring")
         for path in self._shard_paths(tmp_path):
             os.unlink(path)
@@ -281,29 +284,16 @@ class TestShardedArtifacts:
                 },
                 fh,
             )
-        loaded, store, _reasons = self._fresh_get(tmp_path, topo)
-        assert loaded is not None
-        assert store.legacy_hits == 1 and store.hits == 1
-        assert loaded.simulate(1 * MiB).time == compiled.simulate(1 * MiB).time
-
-    def test_corrupt_legacy_payload_is_a_decode_miss(self, tmp_path):
-        store = ArtifactStore(str(tmp_path))
-        topo = Torus2D(4, 4)
-        key = artifact_key(topo, "ring")
-        os.makedirs(str(tmp_path), exist_ok=True)
-        with open(store._path(key), "w") as fh:
-            json.dump(
-                {
-                    "schema": ARTIFACT_SCHEMA_VERSION,
-                    "key": key,
-                    "compiled": {"format": "repro-compiled-v1"},
-                },
-                fh,
-            )
-        loaded, fresh, reasons = self._fresh_get(tmp_path, topo)
+        loaded, store, reasons = self._fresh_get(tmp_path, topo)
         assert loaded is None
-        assert fresh.misses == 1
-        assert any("decode-error" in key_ for key_ in reasons)
+        assert store.misses == 1 and store.hits == 0
+        assert any("format-mismatch" in key_ for key_ in reasons)
+        rebuilt = store.get_or_compile(topo, "ring")
+        assert len(self._shard_paths(tmp_path)) == 2
+        loaded, fresh, reasons = self._fresh_get(tmp_path, topo)
+        assert loaded is not None
+        assert fresh.hits == 1 and fresh.misses == 0 and not reasons
+        assert loaded.simulate(1 * MiB).time == rebuilt.simulate(1 * MiB).time
 
     def test_round_trip_preserves_broadcast_fractions(self, tmp_path):
         import numpy as np

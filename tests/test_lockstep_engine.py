@@ -135,7 +135,8 @@ class TestFallback:
         with collecting() as registry:
             NetworkSimulator(topo, fc).run(messages, engine="lockstep")
         assert registry.counter_value(
-            "sim.lockstep_fallbacks", topology=topo.name
+            "sim.fallbacks", engine="lockstep", reason="not-lockstep-gated",
+            topology=topo.name,
         ) == 1
         # The run itself lands on the event engine.
         assert registry.counter_value(
@@ -158,9 +159,10 @@ class TestFallback:
         assert registry.counter_value(
             "sim.engine_runs", engine="event", topology=topo.name
         ) == 0
-        assert registry.counter_value(
-            "sim.lockstep_fallbacks", topology=topo.name
-        ) == 0
+        assert not any(
+            key.startswith("sim.fallbacks|")
+            for key in registry.snapshot()["counters"]
+        )
 
     def test_unknown_engine_rejected(self):
         sim = NetworkSimulator(Torus2D(2, 2), PacketBased())
@@ -192,6 +194,37 @@ class TestFallback:
         assert not any(
             "unknown-link" in key for key in registry.snapshot()["counters"]
         )
+
+    @pytest.mark.parametrize("engine", ENGINES + ["compile"])
+    def test_foreign_schedule_route_rejected(self, engine):
+        """A hand-built Schedule op routed over a link the topology lacks
+        raises ValueError naming the op and the link, on every engine and
+        in compile_schedule, instead of a bare KeyError."""
+        from fractions import Fraction
+
+        from repro.collectives.schedule import (
+            ChunkRange,
+            CommOp,
+            OpKind,
+            Schedule,
+        )
+
+        topo = Torus2D(4, 4)
+        whole = ChunkRange(Fraction(0), Fraction(1))
+        schedule = Schedule(
+            topology=topo,
+            ops=[
+                CommOp(OpKind.REDUCE, 1, 0, whole, step=1),
+                CommOp(OpKind.GATHER, 1, 0, whole, step=2,
+                       route=((1, 5), (5, 0))),
+            ],
+            algorithm="hand-built",
+        )
+        with pytest.raises(ValueError, match=r"op 1 .*\(5, 0\)"):
+            if engine == "compile":
+                compile_schedule(schedule)
+            else:
+                simulate_allreduce(schedule, 1 * MiB, engine=engine)
 
     def test_compiled_step_overlap_counted(self):
         """The compiled path records its step-loop decline like the

@@ -9,6 +9,8 @@ metrics, never silent.  The size-axis grammar guards
 entry points that share it (``repro sweep`` and ``repro plan``).
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from repro.network import NetworkSimulator, PacketBased
 from repro.network.lockstep_vec import run_batch, run_lockstep_vec
 from repro.ni.injector import build_messages
 from repro.sweep import PredictionCache
+from repro.sweep.artifacts import ArtifactStore
 from repro.sweep.runner import SweepJob, SweepStats, run_sweep
 from repro.topology import FatTree, Mesh2D, Torus2D
 
@@ -37,17 +40,40 @@ CONFIGS = [
     pytest.param(lambda: FatTree(4, 4), "dbtree", id="fattree-dbtree"),
 ]
 
+# Column storage of the compiled schedule under test: plain lists fresh
+# from compile_schedule ("cold", the bare config id), or lazy numpy shard
+# columns loaded back from an ArtifactStore ("-artifact").  The
+# vectorized engine must plan both identically.
+STORAGE_CONFIGS = [
+    pytest.param(
+        *config.values, storage,
+        id=config.id + ("" if storage == "cold" else "-" + storage),
+    )
+    for storage in ("cold", "artifact")
+    for config in CONFIGS
+]
+
 # One compiled schedule per configuration for the whole battery: the
 # compiled form memoizes its vectorization plan, so sharing it across
 # hypothesis examples also exercises plan reuse at many sizes.
 _COMPILED = {}
 
 
-def compiled_for(make_topo, algorithm):
-    key = (make_topo, algorithm)
+@pytest.fixture(scope="module")
+def artifact_root(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("artifacts"))
+
+
+def compiled_for(make_topo, algorithm, storage="cold", root=None):
+    key = (make_topo, algorithm, storage)
     if key not in _COMPILED:
         topo = make_topo()
-        _COMPILED[key] = compile_schedule(build_schedule(algorithm, topo))
+        compiled = compile_schedule(build_schedule(algorithm, topo))
+        if storage == "artifact":
+            ArtifactStore(root).put(compiled)
+            compiled = ArtifactStore(root).get(topo, algorithm)
+            assert not isinstance(compiled.steps, list)
+        _COMPILED[key] = compiled
     return _COMPILED[key]
 
 
@@ -62,13 +88,13 @@ def assert_identical(a, b):
 class TestBatchedExactness:
     """run_batch(sizes) == N independent scalar lockstep runs, exactly."""
 
-    @pytest.mark.parametrize("make_topo,algorithm", CONFIGS)
+    @pytest.mark.parametrize("make_topo,algorithm,storage", STORAGE_CONFIGS)
     @settings(max_examples=6, deadline=None)
     @given(base=st.integers(4 * KiB, 4 * MiB), ladder=st.integers(2, 4))
     def test_run_batch_equals_scalar_runs(
-        self, make_topo, algorithm, base, ladder
+        self, make_topo, algorithm, storage, artifact_root, base, ladder
     ):
-        compiled = compiled_for(make_topo, algorithm)
+        compiled = compiled_for(make_topo, algorithm, storage, artifact_root)
         fc = PacketBased()
         sizes = [base << step for step in range(ladder)]
         batch = compiled.simulate_batch(sizes, fc, keep_timings=True)
@@ -85,11 +111,13 @@ class TestBatchedExactness:
             assert point.max_queue_delay == scalar.max_queue_delay()
             assert_identical(outcome.simulation, scalar.simulation)
 
-    @pytest.mark.parametrize("make_topo,algorithm", CONFIGS)
-    def test_single_size_batch_matches_simulate(self, make_topo, algorithm):
+    @pytest.mark.parametrize("make_topo,algorithm,storage", STORAGE_CONFIGS)
+    def test_single_size_batch_matches_simulate(
+        self, make_topo, algorithm, storage, artifact_root
+    ):
         """engine="lockstep-vec" through CompiledSchedule.simulate is the
         one-column batch and equals the scalar engine exactly."""
-        compiled = compiled_for(make_topo, algorithm)
+        compiled = compiled_for(make_topo, algorithm, storage, artifact_root)
         fc = PacketBased()
         for size in (32 * KiB, 2 * MiB):
             vec = compiled.simulate(size, fc, engine="lockstep-vec")
@@ -109,6 +137,31 @@ class TestBatchedExactness:
         assert vec is not None  # the engine itself, not a fallback
         event = NetworkSimulator(topo, fc).run(messages)
         assert_identical(vec, event)
+
+    def test_permuted_messages_decline_with_plan(self):
+        """A message list whose gate groups are not contiguous index
+        ranges is not range-plannable: the vectorized engine declines
+        with ``plan``, once, and the scalar ladder answers exactly."""
+        topo = Torus2D(4, 4)
+        fc = PacketBased()
+        messages = build_messages(build_schedule("ring", topo), 10 * MiB, fc)
+        last = len(messages) - 1
+        permuted = [
+            dataclasses.replace(
+                msg, deps=tuple(sorted(last - dep for dep in msg.deps))
+            )
+            for msg in reversed(messages)
+        ]
+        with collecting() as registry:
+            assert run_lockstep_vec(topo, fc, permuted) is None
+        assert registry.snapshot()["counters"] == {
+            "sim.fallbacks|engine=lockstep-vec,reason=plan,topology=%s"
+            % topo.name: 1.0
+        }
+        sim = NetworkSimulator(topo, fc)
+        assert_identical(
+            sim.run(permuted, engine="lockstep-vec"), sim.run(permuted)
+        )
 
     def test_batch_rejects_bad_sizes(self):
         compiled = compiled_for(*CONFIGS[1].values)  # torus-4x4 / ring
@@ -130,7 +183,8 @@ class TestFallbackCounting:
         assert batch.fallbacks == len(sizes)
         assert all(point.engine == "lockstep" for point in batch.points)
         assert registry.counter_value(
-            "sim.lockstep_vec_fallbacks", topology=compiled.topology.name
+            "sim.fallbacks", engine="lockstep-vec",
+            reason="link-disjointness", topology=compiled.topology.name,
         ) == len(sizes)
         for size, point in zip(sizes, batch.points):
             scalar = compiled.simulate(size, fc, engine="lockstep")
@@ -149,12 +203,11 @@ class TestFallbackCounting:
             result = NetworkSimulator(topo, fc).run(
                 messages, engine="lockstep-vec"
             )
-        assert registry.counter_value(
-            "sim.lockstep_vec_fallbacks", topology=topo.name
-        ) == 1
-        assert registry.counter_value(
-            "sim.lockstep_fallbacks", topology=topo.name
-        ) == 1
+        for engine in ("lockstep-vec", "lockstep"):
+            assert registry.counter_value(
+                "sim.fallbacks", engine=engine, reason="not-lockstep-gated",
+                topology=topo.name,
+            ) == 1
         assert registry.counter_value(
             "sim.engine_runs", engine="event", topology=topo.name
         ) == 1
@@ -170,9 +223,10 @@ class TestFallbackCounting:
         assert registry.counter_value(
             "sim.engine_runs", engine="lockstep-vec", topology=topo.name
         ) == 1
-        assert registry.counter_value(
-            "sim.lockstep_vec_fallbacks", topology=topo.name
-        ) == 0
+        assert not any(
+            key.startswith("sim.fallbacks|")
+            for key in registry.snapshot()["counters"]
+        )
 
     def test_recorder_declines_vectorization(self):
         """Trace recording is per-message; the vectorized engine declines
